@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/cost_model.hh"
+#include "core/evaluation.hh"
 #include "core/experiment_context.hh"
 #include "core/net_encoder.hh"
 #include "core/signature.hh"
@@ -158,6 +159,36 @@ BM_FlatPredict(benchmark::State &state)
     setThreads(1);
 }
 BENCHMARK(BM_FlatPredict)->Arg(1)->Arg(8);
+
+/**
+ * The paper-shape training set in factored form: 108 non-signature
+ * networks x 74 training devices (a 70/30 split of 105), boosted with
+ * the paper's settings (100 trees, depth 3). BM_GbtTrain trains a
+ * small dense synthetic matrix; this is what one cost-model fit costs
+ * at paper scale.
+ */
+static void
+BM_GbtTrainFactored(benchmark::State &state)
+{
+    const auto ctx = core::ExperimentContext::build();
+    const auto split = core::splitDevices(ctx.fleet().size(), 0.3, 3);
+    std::vector<std::vector<float>> encodings;
+    for (const auto &g : ctx.suite())
+        encodings.push_back(ctx.encoder().encode(g));
+    const auto set = core::buildSignatureTrainingSet(
+        encodings, ctx.latencyMatrix(split.train),
+        core::selectRandomSignature(ctx.numNetworks(), 10, 3), true);
+    for (auto _ : state) {
+        ml::GradientBoostedTrees model;
+        model.train(set.data);
+        benchmark::DoNotOptimize(model.numTrees());
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(
+                                set.data.numRows()));
+    state.SetLabel("108 networks x 74 devices, 100 trees");
+}
+BENCHMARK(BM_GbtTrainFactored)->Unit(benchmark::kMillisecond);
 
 /**
  * Thread-scaling variants. Arg is the worker-thread count handed to

@@ -6,10 +6,33 @@
 #include <ostream>
 #include <set>
 
+#include "obs/obs.hh"
 #include "util/error.hh"
 
 namespace gcm::core
 {
+
+namespace
+{
+
+/**
+ * Geometric mean of a device's signature latencies: the anchor the
+ * scale-free representation divides by.
+ */
+double
+signatureAnchor(const std::vector<double> &signature_latencies_ms)
+{
+    double log_sum = 0.0;
+    for (double ms : signature_latencies_ms) {
+        if (ms <= 0.0)
+            fatal("signature latency must be positive, got ", ms);
+        log_sum += std::log(ms);
+    }
+    return std::exp(log_sum
+                    / static_cast<double>(signature_latencies_ms.size()));
+}
+
+} // namespace
 
 SignatureCostModel
 SignatureCostModel::train(const std::vector<dnn::Graph> &suite,
@@ -79,51 +102,67 @@ SignatureCostModel::train(const std::vector<dnn::Graph> &suite,
     model.encoder_ = std::make_unique<NetworkEncoder>(
         fitted.maxLayers() + config.layer_headroom);
 
-    std::vector<bool> is_sig(suite.size(), false);
-    for (std::size_t s : model.signature_)
-        is_sig[s] = true;
-
     model.anchorNormalization_ = config.anchor_normalization;
-    const std::size_t net_f = model.encoder_->numFeatures();
-    const std::size_t width = net_f + model.signature_.size();
-    ml::Dataset train_set(width);
-    std::vector<float> row(width);
-    for (std::size_t d = 0; d < num_devices; ++d) {
-        std::vector<double> sig_lat;
-        sig_lat.reserve(model.signature_.size());
-        for (std::size_t s : model.signature_)
-            sig_lat.push_back(latencies[s][d]);
-        const double anchor = model.anchorOf(sig_lat);
-        for (std::size_t k = 0; k < sig_lat.size(); ++k)
-            row[net_f + k] = static_cast<float>(sig_lat[k] / anchor);
-        for (std::size_t n = 0; n < suite.size(); ++n) {
-            if (is_sig[n])
-                continue;
-            const auto enc = model.encoder_->encode(suite[n]);
-            std::copy(enc.begin(), enc.end(), row.begin());
-            train_set.addRow(row, latencies[n][d] / anchor);
-        }
-    }
+    const SignatureTrainingSet train_set = [&] {
+        const obs::TraceSpan span("cost_model.training_set");
+        std::vector<std::vector<float>> encodings;
+        encodings.reserve(suite.size());
+        for (const auto &g : suite)
+            encodings.push_back(model.encoder_->encode(g));
+        return buildSignatureTrainingSet(encodings, latencies,
+                                         model.signature_,
+                                         model.anchorNormalization_);
+    }();
 
     model.booster_ = ml::GradientBoostedTrees(config.gbt);
-    model.booster_.train(train_set);
+    model.booster_.train(train_set.data);
     return model;
+}
+
+SignatureTrainingSet
+buildSignatureTrainingSet(const std::vector<std::vector<float>> &encodings,
+                          const std::vector<std::vector<double>> &latencies,
+                          const std::vector<std::size_t> &signature,
+                          bool anchor_normalization)
+{
+    GCM_ASSERT(!encodings.empty() && latencies.size() == encodings.size(),
+               "buildSignatureTrainingSet: encodings/latencies mismatch");
+    GCM_ASSERT(!signature.empty(), "buildSignatureTrainingSet: no signature");
+    std::vector<bool> is_sig(encodings.size(), false);
+    for (std::size_t s : signature) {
+        GCM_ASSERT(s < encodings.size(), "signature index out of range");
+        is_sig[s] = true;
+    }
+
+    SignatureTrainingSet out{
+        ml::FactoredDataset(encodings[0].size(), signature.size()), {}};
+    for (const auto &enc : encodings)
+        out.data.addNetwork(enc);
+    std::vector<double> sig_lat(signature.size());
+    std::vector<float> features(signature.size());
+    for (std::size_t d = 0; d < latencies[0].size(); ++d) {
+        for (std::size_t k = 0; k < signature.size(); ++k)
+            sig_lat[k] = latencies[signature[k]][d];
+        const double anchor =
+            anchor_normalization ? signatureAnchor(sig_lat) : 1.0;
+        for (std::size_t k = 0; k < signature.size(); ++k)
+            features[k] = static_cast<float>(sig_lat[k] / anchor);
+        out.data.addDevice(features);
+        out.anchors.push_back(anchor);
+        for (std::size_t n = 0; n < encodings.size(); ++n) {
+            if (!is_sig[n])
+                out.data.addRow(n, d, latencies[n][d] / anchor);
+        }
+    }
+    return out;
 }
 
 double
 SignatureCostModel::anchorOf(
     const std::vector<double> &signature_latencies_ms) const
 {
-    if (!anchorNormalization_)
-        return 1.0;
-    double log_sum = 0.0;
-    for (double ms : signature_latencies_ms) {
-        if (ms <= 0.0)
-            fatal("signature latency must be positive, got ", ms);
-        log_sum += std::log(ms);
-    }
-    return std::exp(log_sum
-                    / static_cast<double>(signature_latencies_ms.size()));
+    return anchorNormalization_ ? signatureAnchor(signature_latencies_ms)
+                                : 1.0;
 }
 
 double

@@ -32,6 +32,30 @@
 namespace gcm::core
 {
 
+/**
+ * The paper's training set in factored form (ml::FactoredDataset).
+ * Network n's features are encodings[n]; device d's features are its
+ * signature latencies divided by its anchor (their geometric mean,
+ * when anchor normalization is on). Rows run device-major,
+ * network-minor, skipping the signature networks, with target
+ * latencies[n][d] / anchor.
+ */
+struct SignatureTrainingSet
+{
+    ml::FactoredDataset data;
+    /** Anchor of each device (1.0 without anchor normalization). */
+    std::vector<double> anchors;
+};
+
+/**
+ * Assemble a SignatureTrainingSet over every device column of
+ * `latencies` (latencies[n][d], index-aligned with `encodings`).
+ */
+SignatureTrainingSet buildSignatureTrainingSet(
+    const std::vector<std::vector<float>> &encodings,
+    const std::vector<std::vector<double>> &latencies,
+    const std::vector<std::size_t> &signature, bool anchor_normalization);
+
 /** End-to-end signature-based cost model. */
 class SignatureCostModel
 {

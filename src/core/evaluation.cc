@@ -1,8 +1,8 @@
 #include "core/evaluation.hh"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
+#include "core/cost_model.hh"
 #include "core/hw_features.hh"
 #include "ml/metrics.hh"
 #include "util/error.hh"
@@ -46,12 +46,18 @@ EvaluationHarness::EvaluationHarness(const ExperimentContext &ctx,
 namespace
 {
 
+/** Scores predictions in milliseconds, undoing per-row anchors. */
 ModelEvaluation
-score(const ml::GradientBoostedTrees &model, const ml::Dataset &test)
+score(std::vector<double> y_true, std::vector<double> y_pred,
+      const std::vector<double> &row_anchors)
 {
+    for (std::size_t i = 0; i < row_anchors.size(); ++i) {
+        y_true[i] *= row_anchors[i];
+        y_pred[i] *= row_anchors[i];
+    }
     ModelEvaluation eval;
-    eval.y_true = test.labels();
-    eval.y_pred = model.predict(test);
+    eval.y_true = std::move(y_true);
+    eval.y_pred = std::move(y_pred);
     eval.r2 = ml::r2Score(eval.y_true, eval.y_pred);
     eval.rmse_ms = ml::rmse(eval.y_true, eval.y_pred);
     eval.mape_pct = ml::mape(eval.y_true, eval.y_pred);
@@ -67,78 +73,28 @@ EvaluationHarness::evalStaticFeatureModel(const DeviceSplit &split,
     GCM_ASSERT(!split.train.empty() && !split.test.empty(),
                "evalStaticFeatureModel: empty split");
     const StaticHardwareEncoder hw;
-    const std::size_t net_f = ctx_.encoder().numFeatures();
-    const std::size_t width = net_f + hw.numFeatures();
 
+    // Every network on every device; the device table holds the
+    // static hardware vector.
     auto build = [&](const std::vector<std::size_t> &devices) {
-        ml::Dataset ds(width);
-        std::vector<float> row(width);
+        ml::FactoredDataset ds(ctx_.encoder().numFeatures(),
+                               hw.numFeatures());
+        for (const auto &enc : encodings_)
+            ds.addNetwork(enc);
         for (std::size_t d : devices) {
-            const auto hw_vec =
-                hw.encode(ctx_.fleet().device(d), ctx_.fleet());
-            for (std::size_t n = 0; n < ctx_.numNetworks(); ++n) {
-                std::copy(encodings_[n].begin(), encodings_[n].end(),
-                          row.begin());
-                std::copy(hw_vec.begin(), hw_vec.end(),
-                          row.begin() + static_cast<std::ptrdiff_t>(net_f));
-                ds.addRow(row, ctx_.latencyMs(d, n));
-            }
+            const std::size_t dev =
+                ds.addDevice(hw.encode(ctx_.fleet().device(d), ctx_.fleet()));
+            for (std::size_t n = 0; n < ctx_.numNetworks(); ++n)
+                ds.addRow(n, dev, ctx_.latencyMs(d, n));
         }
         return ds;
     };
 
-    const ml::Dataset train = build(split.train);
-    const ml::Dataset test = build(split.test);
+    const ml::FactoredDataset train = build(split.train);
+    const ml::FactoredDataset test = build(split.test);
     ml::GradientBoostedTrees model(params);
     model.train(train);
-    return score(model, test);
-}
-
-EvaluationHarness::SignatureData
-EvaluationHarness::buildSignatureDataset(
-    const std::vector<std::size_t> &devices,
-    const std::vector<std::size_t> &signature) const
-{
-    const std::size_t net_f = ctx_.encoder().numFeatures();
-    const std::size_t width = net_f + signature.size();
-    std::vector<bool> is_signature(ctx_.numNetworks(), false);
-    for (std::size_t s : signature) {
-        GCM_ASSERT(s < ctx_.numNetworks(),
-                   "signature index out of range");
-        is_signature[s] = true;
-    }
-
-    SignatureData out{ml::Dataset(width), {}};
-    std::vector<float> row(width);
-    for (std::size_t d : devices) {
-        // The device's hardware representation: measured latencies of
-        // the signature networks on it, optionally rescaled by the
-        // device anchor (geometric mean of the signature latencies).
-        double anchor = 1.0;
-        if (options_.anchor_normalization) {
-            double log_sum = 0.0;
-            for (std::size_t s : signature) {
-                const double ms = ctx_.latencyMs(d, s);
-                GCM_ASSERT(ms > 0.0, "non-positive signature latency");
-                log_sum += std::log(ms);
-            }
-            anchor = std::exp(log_sum
-                              / static_cast<double>(signature.size()));
-        }
-        for (std::size_t k = 0; k < signature.size(); ++k) {
-            row[net_f + k] = static_cast<float>(
-                ctx_.latencyMs(d, signature[k]) / anchor);
-        }
-        for (std::size_t n = 0; n < ctx_.numNetworks(); ++n) {
-            if (is_signature[n])
-                continue; // paper: signature rows are discarded
-            std::copy(encodings_[n].begin(), encodings_[n].end(),
-                      row.begin());
-            out.dataset.addRow(row, ctx_.latencyMs(d, n) / anchor);
-            out.anchors.push_back(anchor);
-        }
-    }
-    return out;
+    return score(test.labels(), model.predict(test), {});
 }
 
 ModelEvaluation
@@ -149,23 +105,23 @@ EvaluationHarness::evalWithSignature(
     GCM_ASSERT(!split.train.empty() && !split.test.empty(),
                "evalWithSignature: empty split");
     GCM_ASSERT(!signature.empty(), "evalWithSignature: empty signature");
-    const SignatureData train =
-        buildSignatureDataset(split.train, signature);
-    const SignatureData test =
-        buildSignatureDataset(split.test, signature);
+    const auto build = [&](const std::vector<std::size_t> &devices) {
+        return buildSignatureTrainingSet(encodings_,
+                                         ctx_.latencyMatrix(devices),
+                                         signature,
+                                         options_.anchor_normalization);
+    };
+    const SignatureTrainingSet train = build(split.train);
+    const SignatureTrainingSet test = build(split.test);
     ml::GradientBoostedTrees model(params);
-    model.train(train.dataset);
+    model.train(train.data);
     // Denormalize: metrics are always reported in milliseconds.
-    ModelEvaluation eval;
-    eval.y_true = test.dataset.labels();
-    eval.y_pred = model.predict(test.dataset);
-    for (std::size_t i = 0; i < eval.y_true.size(); ++i) {
-        eval.y_true[i] *= test.anchors[i];
-        eval.y_pred[i] *= test.anchors[i];
-    }
-    eval.r2 = ml::r2Score(eval.y_true, eval.y_pred);
-    eval.rmse_ms = ml::rmse(eval.y_true, eval.y_pred);
-    eval.mape_pct = ml::mape(eval.y_true, eval.y_pred);
+    std::vector<double> row_anchors;
+    row_anchors.reserve(test.data.numRows());
+    for (std::uint32_t d : test.data.rowDevices())
+        row_anchors.push_back(test.anchors[d]);
+    ModelEvaluation eval =
+        score(test.data.labels(), model.predict(test.data), row_anchors);
     eval.signature = signature;
     return eval;
 }

@@ -104,21 +104,6 @@ class EvaluationHarness
     }
 
   private:
-    struct SignatureData
-    {
-        ml::Dataset dataset;
-        /** Per-row anchor (1.0 when normalization is off). */
-        std::vector<double> anchors;
-    };
-
-    /**
-     * Assemble the (network encoding ++ signature latencies) dataset
-     * over a device set, skipping signature networks.
-     */
-    SignatureData buildSignatureDataset(
-        const std::vector<std::size_t> &devices,
-        const std::vector<std::size_t> &signature) const;
-
     const ExperimentContext &ctx_;
     HarnessOptions options_;
     std::vector<std::vector<float>> encodings_;

@@ -63,4 +63,67 @@ Dataset::setFeatureNames(std::vector<std::string> names)
     featureNames_ = std::move(names);
 }
 
+FactoredDataset::FactoredDataset(std::size_t network_features,
+                                 std::size_t device_features)
+    : networkFeatures_(network_features),
+      deviceFeatures_(device_features)
+{
+    GCM_ASSERT(network_features > 0 && device_features > 0,
+               "FactoredDataset: zero-width table");
+}
+
+std::size_t
+FactoredDataset::addNetwork(const std::vector<float> &x)
+{
+    GCM_ASSERT(x.size() == networkFeatures_,
+               "FactoredDataset::addNetwork: width mismatch");
+    networks_.insert(networks_.end(), x.begin(), x.end());
+    return numNetworks() - 1;
+}
+
+std::size_t
+FactoredDataset::addDevice(const std::vector<float> &x)
+{
+    GCM_ASSERT(x.size() == deviceFeatures_,
+               "FactoredDataset::addDevice: width mismatch");
+    devices_.insert(devices_.end(), x.begin(), x.end());
+    return numDevices() - 1;
+}
+
+void
+FactoredDataset::addRow(std::size_t network, std::size_t device, double y)
+{
+    GCM_ASSERT(network < numNetworks() && device < numDevices(),
+               "FactoredDataset::addRow: index out of range");
+    rowNetworks_.push_back(static_cast<std::uint32_t>(network));
+    rowDevices_.push_back(static_cast<std::uint32_t>(device));
+    labels_.push_back(y);
+}
+
+std::size_t
+FactoredDataset::numNetworks() const
+{
+    return networks_.size() / networkFeatures_;
+}
+
+std::size_t
+FactoredDataset::numDevices() const
+{
+    return devices_.size() / deviceFeatures_;
+}
+
+const float *
+FactoredDataset::network(std::size_t n) const
+{
+    GCM_ASSERT(n < numNetworks(), "FactoredDataset::network: out of range");
+    return networks_.data() + n * networkFeatures_;
+}
+
+const float *
+FactoredDataset::device(std::size_t d) const
+{
+    GCM_ASSERT(d < numDevices(), "FactoredDataset::device: out of range");
+    return devices_.data() + d * deviceFeatures_;
+}
+
 } // namespace gcm::ml

@@ -1,12 +1,15 @@
 /**
  * @file
- * Dense row-major regression dataset shared by all learners.
+ * Regression datasets shared by the learners: a dense row-major
+ * matrix, and a factored form for rows that pair a network with a
+ * device.
  */
 
 #ifndef GCM_ML_DATASET_HH
 #define GCM_ML_DATASET_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -55,6 +58,68 @@ class Dataset
     std::vector<float> values_;
     std::vector<double> labels_;
     std::vector<std::string> featureNames_;
+};
+
+/**
+ * A training set whose rows are (network, device) pairs. Row i's
+ * feature vector is network(rowNetworks()[i]) followed by
+ * device(rowDevices()[i]), so each network's wide feature block is
+ * stored once instead of once per device it was measured on. The tree
+ * learners bin and histogram the two tables per entity
+ * (ml/binning.hh, ml/tree.hh).
+ */
+class FactoredDataset
+{
+  public:
+    /** Create an empty set with fixed network and device widths. */
+    FactoredDataset(std::size_t network_features,
+                    std::size_t device_features);
+
+    /** Append a network's features; returns its index. */
+    std::size_t addNetwork(const std::vector<float> &x);
+
+    /** Append a device's features; returns its index. */
+    std::size_t addDevice(const std::vector<float> &x);
+
+    /** Append the row (network, device) with target y. */
+    void addRow(std::size_t network, std::size_t device, double y);
+
+    std::size_t numRows() const { return labels_.size(); }
+    std::size_t numFeatures() const
+    {
+        return networkFeatures_ + deviceFeatures_;
+    }
+    std::size_t networkFeatures() const { return networkFeatures_; }
+    std::size_t deviceFeatures() const { return deviceFeatures_; }
+    std::size_t numNetworks() const;
+    std::size_t numDevices() const;
+
+    /** Features of network n (networkFeatures() floats). */
+    const float *network(std::size_t n) const;
+
+    /** Features of device d (deviceFeatures() floats). */
+    const float *device(std::size_t d) const;
+
+    /** Network and device index of every row. */
+    const std::vector<std::uint32_t> &rowNetworks() const
+    {
+        return rowNetworks_;
+    }
+    const std::vector<std::uint32_t> &rowDevices() const
+    {
+        return rowDevices_;
+    }
+
+    const std::vector<double> &labels() const { return labels_; }
+
+  private:
+    std::size_t networkFeatures_;
+    std::size_t deviceFeatures_;
+    std::vector<float> networks_;
+    std::vector<float> devices_;
+    std::vector<std::uint32_t> rowNetworks_;
+    std::vector<std::uint32_t> rowDevices_;
+    std::vector<double> labels_;
 };
 
 } // namespace gcm::ml

@@ -226,4 +226,18 @@ FlatEnsemble::predict(const Dataset &data) const
     return out;
 }
 
+std::vector<double>
+FlatEnsemble::predict(const FactoredDataset &data) const
+{
+    std::vector<SegmentedRow> rows(data.numRows());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        rows[i] = {data.network(data.rowNetworks()[i]),
+                   data.device(data.rowDevices()[i])};
+    }
+    std::vector<double> out(rows.size());
+    predictBatchSegmented(rows.data(), rows.size(),
+                          data.networkFeatures(), out.data());
+    return out;
+}
+
 } // namespace gcm::ml

@@ -130,6 +130,12 @@ class FlatEnsemble
     /** predictBatch over a Dataset's feature matrix. */
     std::vector<double> predict(const Dataset &data) const;
 
+    /**
+     * predictBatchSegmented over a factored dataset's rows: the
+     * network features are the head, the device features the tail.
+     */
+    std::vector<double> predict(const FactoredDataset &data) const;
+
   private:
     /** Most rows walked per parallel block (one task per block). */
     static constexpr std::size_t kRowBlock = 64;

@@ -30,13 +30,20 @@ GradientBoostedTrees::train(const Dataset &data)
 }
 
 void
+GradientBoostedTrees::train(const FactoredDataset &data)
+{
+    trainImpl(data, nullptr);
+}
+
+void
 GradientBoostedTrees::train(const Dataset &data, const Dataset &eval)
 {
     trainImpl(data, &eval);
 }
 
+template <class Data>
 void
-GradientBoostedTrees::trainImpl(const Dataset &data, const Dataset *eval)
+GradientBoostedTrees::trainImpl(const Data &data, const Dataset *eval)
 {
     GCM_ASSERT(data.numRows() > 0, "GBT: empty training set");
     const obs::TraceSpan train_span("gbt.train");
@@ -45,8 +52,8 @@ GradientBoostedTrees::trainImpl(const Dataset &data, const Dataset *eval)
     featureGain_.assign(data.numFeatures(), 0.0);
 
     const std::size_t n = data.numRows();
-    baseScore_ =
-        std::accumulate(data.labels().begin(), data.labels().end(), 0.0)
+    const std::vector<double> &labels = data.labels();
+    baseScore_ = std::accumulate(labels.begin(), labels.end(), 0.0)
         / static_cast<double>(n);
     trained_ = true;
 
@@ -74,9 +81,8 @@ GradientBoostedTrees::trainImpl(const Dataset &data, const Dataset *eval)
     std::vector<double> tree_gain;
     // Boosting is sequential across rounds (each tree fits the
     // residual of the previous ones); the parallelism lives inside a
-    // round — histogram/split search in trainTree and the elementwise
-    // gradient/prediction sweeps below, all index-owned and therefore
-    // bit-identical at any thread count.
+    // round, in the elementwise gradient/prediction sweeps below, all
+    // index-owned and therefore bit-identical at any thread count.
     for (std::size_t t = 0; t < params_.n_estimators; ++t) {
         const obs::TraceSpan round_span("gbt.round");
         obs::counterAdd("gbt.rounds");
@@ -84,7 +90,7 @@ GradientBoostedTrees::trainImpl(const Dataset &data, const Dataset *eval)
             // Squared-error objective: g = pred - y (unit hessian).
             const obs::TraceSpan grad_span("gbt.gradient");
             parallelFor(0, n, 4096, [&](std::size_t i) {
-                grad[i] = static_cast<float>(preds[i] - data.label(i));
+                grad[i] = static_cast<float>(preds[i] - labels[i]);
             });
         }
 
@@ -150,6 +156,13 @@ GradientBoostedTrees::predict(const Dataset &data) const
     // Batch predict through the compiled form: bit-identical to the
     // per-row node walker (ml/flat_ensemble.hh contract), one blocked
     // sweep instead of a pointer chase per row.
+    const obs::TraceSpan span("gbt.predict");
+    return compile().predict(data);
+}
+
+std::vector<double>
+GradientBoostedTrees::predict(const FactoredDataset &data) const
+{
     const obs::TraceSpan span("gbt.predict");
     return compile().predict(data);
 }

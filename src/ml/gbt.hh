@@ -46,6 +46,16 @@ class GradientBoostedTrees
     void train(const Dataset &data);
 
     /**
+     * Fit on a factored dataset. A histogram bin sums its gradients
+     * per entity and then in entity order, where training on the dense
+     * concatenation of the same rows sums them in row order. The two
+     * models are byte-identical whenever those double sums are exact;
+     * tests/test_factored_train.cc checks it on the paper-size and
+     * fleet-shaped training sets.
+     */
+    void train(const FactoredDataset &data);
+
+    /**
      * Fit with a held-out evaluation set; records RMSE on it after
      * every boosting round (see evalHistory()).
      */
@@ -63,6 +73,9 @@ class GradientBoostedTrees
      * FlatEnsemble; bit-identical to predictRow per row.
      */
     std::vector<double> predict(const Dataset &data) const;
+
+    /** Predict every row of a factored dataset (compiled form). */
+    std::vector<double> predict(const FactoredDataset &data) const;
 
     /**
      * Compile the trained booster into its flat SoA inference form
@@ -96,7 +109,9 @@ class GradientBoostedTrees
     static GradientBoostedTrees deserialize(std::istream &is);
 
   private:
-    void trainImpl(const Dataset &data, const Dataset *eval);
+    /** Shared by both dataset forms; defined in gbt.cc. */
+    template <class Data>
+    void trainImpl(const Data &data, const Dataset *eval);
 
     GbtParams params_;
     double baseScore_ = 0.0;

@@ -7,7 +7,6 @@
 
 #include "obs/obs.hh"
 #include "util/error.hh"
-#include "util/parallel.hh"
 
 namespace gcm::ml
 {
@@ -155,6 +154,9 @@ struct Builder
     /** Start of each active feature's bin range in a HistBlock. */
     std::vector<std::size_t> offsets;
     std::size_t totalBins = 0;
+    // Per-entity scratch of accumulate(), reused across nodes.
+    std::vector<double> entityGrad;
+    std::vector<std::uint32_t> entityCount;
 
     void
     initOffsets()
@@ -166,31 +168,54 @@ struct Builder
         }
     }
 
+    /**
+     * Gradient and count histograms of a node. Each active feature
+     * owns the disjoint [offsets[a], offsets[a+1]) region. Every
+     * entity adds its gradient sum and row count to one bin of each
+     * of its group's features; a bin therefore receives its terms in
+     * entity order. In an identity group the entities are the node's
+     * rows, taken in `rows` order. A factored group first sums the
+     * node's rows per entity, so it costs O(rows + entities x
+     * features) instead of O(rows x features).
+     */
     void
-    accumulate(const std::vector<std::uint32_t> &rows,
-               HistBlock &hist) const
+    accumulate(const std::vector<std::uint32_t> &rows, HistBlock &hist)
     {
         const obs::TraceSpan span("tree.histogram");
         hist.reset(totalBins);
-        const auto &active = binned.activeFeatures();
-        // Each feature owns a disjoint [offsets[a], offsets[a+1])
-        // region of the histogram and scans rows in ascending order,
-        // so the accumulation is bit-identical at any thread count.
-        // Small nodes run as one inline chunk to skip pool overhead.
-        const std::size_t grain =
-            rows.size() * active.size() < 1u << 15
-                ? active.size()
-                : std::max<std::size_t>(1, active.size() / 32);
-        parallelFor(0, active.size(), grain, [&](std::size_t a) {
-            const std::uint8_t *col = binned.column(active[a]);
-            double *hg = hist.g.data() + offsets[a];
-            std::uint32_t *hn = hist.n.data() + offsets[a];
-            for (std::uint32_t i : rows) {
-                const std::uint8_t b = col[i];
-                hg[b] += grad[i];
-                ++hn[b];
+        for (const BinnedMatrix::ColumnGroup &g : binned.groups()) {
+            const std::size_t na = g.numActive;
+            if (na == 0)
+                continue;
+            const std::size_t *off = offsets.data() + g.firstActive;
+            double *hg = hist.g.data();
+            std::uint32_t *hn = hist.n.data();
+            const auto add = [&](std::size_t e, double sum,
+                                 std::uint32_t count) {
+                const std::uint8_t *codes = g.codes.data() + e * na;
+                for (std::size_t j = 0; j < na; ++j) {
+                    const std::size_t k = off[j] + codes[j];
+                    hg[k] += sum;
+                    hn[k] += count;
+                }
+            };
+            if (g.isIdentity()) {
+                for (std::uint32_t i : rows)
+                    add(i, grad[i], 1);
+                continue;
             }
-        });
+            entityGrad.assign(g.numEntities, 0.0);
+            entityCount.assign(g.numEntities, 0);
+            for (std::uint32_t i : rows) {
+                const std::uint32_t e = g.entityOf[i];
+                entityGrad[e] += grad[i];
+                ++entityCount[e];
+            }
+            for (std::size_t e = 0; e < g.numEntities; ++e) {
+                if (entityCount[e] > 0)
+                    add(e, entityGrad[e], entityCount[e]);
+            }
+        }
     }
 
     double
@@ -223,50 +248,34 @@ struct Builder
         }
         const std::size_t n_cand =
             subsample_features ? sampled.size() : active.size();
-        // Score every candidate feature independently, then reduce in
-        // candidate order. The serial loop kept a running best and
-        // accepted only strictly larger gains, so scanning the
-        // per-candidate winners with the same `>` in the same order
-        // reproduces its result (ties keep the earlier feature)
-        // bit-for-bit at any thread count.
-        const std::size_t grain =
-            n_cand * totalBins < 1u << 15 ? n_cand : 1;
-        const auto cand = parallelMap(
-            n_cand, grain, [&](std::size_t c) -> BestSplit {
-                const std::size_t a =
-                    subsample_features ? sampled[c] : c;
-                const std::size_t nb =
-                    binned.featureBins(active[a]).numBins();
-                const double *hg = hist.g.data() + offsets[a];
-                const std::uint32_t *hn = hist.n.data() + offsets[a];
-                BestSplit local;
-                double gl = 0.0, nl = 0.0;
-                for (std::size_t b = 0; b + 1 < nb; ++b) {
-                    gl += hg[b];
-                    nl += hn[b];
-                    const double nr = count - nl;
-                    if (nl < cfg.min_child_weight
-                        || nr < cfg.min_child_weight) {
-                        continue;
-                    }
-                    const double gr = sum_g - gl;
-                    const double gain = 0.5
-                            * (gl * gl / (nl + cfg.lambda)
-                               + gr * gr / (nr + cfg.lambda)
-                               - parent_score)
-                        - cfg.gamma;
-                    if (gain > local.gain) {
-                        local.gain = gain;
-                        local.feature = active[a];
-                        local.bin = static_cast<std::uint8_t>(b);
-                        local.found = true;
-                    }
+        // Candidates in order, bins in order, strictly larger gains
+        // only: ties keep the earlier feature and bin.
+        for (std::size_t c = 0; c < n_cand; ++c) {
+            const std::size_t a = subsample_features ? sampled[c] : c;
+            const std::size_t nb = binned.featureBins(active[a]).numBins();
+            const double *hg = hist.g.data() + offsets[a];
+            const std::uint32_t *hn = hist.n.data() + offsets[a];
+            double gl = 0.0, nl = 0.0;
+            for (std::size_t b = 0; b + 1 < nb; ++b) {
+                gl += hg[b];
+                nl += hn[b];
+                const double nr = count - nl;
+                if (nl < cfg.min_child_weight
+                    || nr < cfg.min_child_weight) {
+                    continue;
                 }
-                return local;
-            });
-        for (const BestSplit &c : cand) {
-            if (c.found && c.gain > best.gain)
-                best = c;
+                const double gr = sum_g - gl;
+                const double gain = 0.5
+                        * (gl * gl / (nl + cfg.lambda)
+                           + gr * gr / (nr + cfg.lambda) - parent_score)
+                    - cfg.gamma;
+                if (gain > best.gain) {
+                    best.gain = gain;
+                    best.feature = active[a];
+                    best.bin = static_cast<std::uint8_t>(b);
+                    best.found = true;
+                }
+            }
         }
         return best;
     }
@@ -309,13 +318,13 @@ struct Builder
 
         // Partition rows (order within each side is preserved, so row
         // lists stay sorted and column accesses stay forward).
-        const std::uint8_t *col = binned.column(best.feature);
+        const BinnedMatrix::Column col = binned.column(best.feature);
         std::vector<std::uint32_t> left_rows, right_rows;
         left_rows.reserve(rows.size());
         right_rows.reserve(rows.size());
         double gl = 0.0;
         for (std::uint32_t i : rows) {
-            if (col[i] <= best.bin) {
+            if (col.at(i) <= best.bin) {
                 left_rows.push_back(i);
                 gl += grad[i];
             } else {
@@ -373,7 +382,7 @@ trainTree(const BinnedMatrix &binned, const std::vector<std::uint32_t> &rows,
     if (gain_out)
         gain_out->assign(binned.numFeatures(), 0.0);
 
-    Builder builder{binned, grad, cfg, rng, gain_out, {}, {}, 0};
+    Builder builder{binned, grad, cfg, rng, gain_out, {}, {}, 0, {}, {}};
     builder.initOffsets();
     double sum_g = 0.0;
     for (std::uint32_t i : rows)

@@ -14,9 +14,13 @@
  * RandomForest reuses the same trainer.
  *
  * Performance: per-feature gradient histograms are accumulated over a
- * column-major uint8 binned matrix; for each split only the smaller
- * child's histograms are recomputed and the sibling is derived by
- * subtraction (the standard LightGBM/XGBoost trick).
+ * uint8 binned matrix; for each split only the smaller child's
+ * histograms are recomputed and the sibling is derived by subtraction
+ * (the standard LightGBM/XGBoost trick). Columns of a factored group
+ * (ml/binning.hh) are histogrammed from per-entity gradient sums, so a
+ * node costs O(rows + entities x features) there. Growth is serial:
+ * at that cost a node's work is smaller than a worker-pool dispatch
+ * (DESIGN.md section 7).
  */
 
 #ifndef GCM_ML_TREE_HH

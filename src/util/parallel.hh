@@ -4,7 +4,7 @@
  *
  * A lazily-started shared ThreadPool plus two loop primitives —
  * parallelFor and an ordered parallelMap — used by every hot path in
- * the library (tree growth, forest bagging, batch prediction, the
+ * the library (boosting sweeps, forest bagging, batch prediction, the
  * campaign's device x network grid, cross-validation folds, signature
  * candidate scoring).
  *
@@ -18,7 +18,7 @@
  *    order, so every floating-point accumulation a task performs uses
  *    exactly the serial operation order.
  *  - Tasks may only write state owned by their own index (a slot in a
- *    pre-sized output vector, a disjoint histogram region, ...).
+ *    pre-sized output vector, a disjoint row block, ...).
  *    Cross-task reductions are performed by the caller, serially, in
  *    index order after the loop completes.
  *  - Stochastic tasks never share a sequential Rng; each task derives
@@ -33,8 +33,8 @@
  *
  * Scheduling is caller-participates: the invoking thread claims and
  * executes chunks alongside the workers and can always finish the
- * whole batch by itself, so nested parallel sections (a parallel tree
- * trainer inside a parallel forest) cannot deadlock.
+ * whole batch by itself, so nested parallel sections (a parallel
+ * prediction sweep inside a parallel map task) cannot deadlock.
  */
 
 #ifndef GCM_UTIL_PARALLEL_HH

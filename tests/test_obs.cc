@@ -189,9 +189,12 @@ TEST_F(ObsTest, ChunkSpansNestUnderSubmittingSpan)
 
 TEST_F(ObsTest, JsonEscapesMetricNames)
 {
-    obs::counterAdd("weird \"name\"\n\\path");
+    // Quotes, backslashes, the named control escapes and a bare
+    // control character (emitted as \u0001) all round-trip.
+    const std::string name = "weird \"name\"\n\\path\t\r\x01" "end";
+    obs::counterAdd(name);
     const auto r = parseJson(obs::reportJson());
-    EXPECT_EQ(r.at("counters").at("weird \"name\"\n\\path").number, 1.0);
+    EXPECT_EQ(r.at("counters").at(name).number, 1.0);
 }
 
 TEST_F(ObsTest, ReportHasSchemaTagAndAllSections)

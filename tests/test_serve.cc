@@ -214,6 +214,35 @@ TEST(Registry, SniffsAllThreeModelKinds)
                  GcmError);
 }
 
+/**
+ * Flips the registry between versions 1 and 2 on its own thread until
+ * destroyed. The destructor stops and joins the thread, also when a
+ * failed ASSERT leaves the reader's scope early.
+ */
+class RegistrySwapper
+{
+  public:
+    explicit RegistrySwapper(serve::ModelRegistry &registry)
+        : thread_([this, &registry] {
+              for (int i = 0; !done_.load(); ++i) {
+                  registry.activate(1 + (i % 2));
+                  std::this_thread::yield();
+              }
+          })
+    {}
+    RegistrySwapper(const RegistrySwapper &) = delete;
+    RegistrySwapper &operator=(const RegistrySwapper &) = delete;
+    ~RegistrySwapper()
+    {
+        done_.store(true);
+        thread_.join();
+    }
+
+  private:
+    std::atomic<bool> done_{false};
+    std::thread thread_;
+};
+
 TEST(Registry, HotSwapUnderConcurrentServing)
 {
     // A writer thread flips between two versions while a reader
@@ -230,24 +259,18 @@ TEST(Registry, HotSwapUnderConcurrentServing)
     const std::vector<serve::ServeRequest> batch = {
         networkRequest("a", "mobilenet_v2_1.0", firstDeviceName())};
 
-    std::atomic<bool> stop{false};
-    std::thread writer([&] {
-        for (int i = 0; i < 200; ++i) {
-            registry.activate(1 + (i % 2));
-            std::this_thread::yield();
-        }
-        stop.store(true);
-    });
     std::size_t served = 0;
-    while (!stop.load()) {
-        const auto responses = service.processBatch(batch);
-        ASSERT_EQ(responses.size(), 1u);
-        ASSERT_TRUE(responses[0].ok) << responses[0].error_message;
-        ASSERT_TRUE(responses[0].model_version == 1
-                    || responses[0].model_version == 2);
-        ++served;
+    {
+        const RegistrySwapper writer(registry);
+        for (int b = 0; b < 200; ++b) {
+            const auto responses = service.processBatch(batch);
+            ASSERT_EQ(responses.size(), 1u);
+            ASSERT_TRUE(responses[0].ok) << responses[0].error_message;
+            ASSERT_TRUE(responses[0].model_version == 1
+                        || responses[0].model_version == 2);
+            ++served;
+        }
     }
-    writer.join();
     EXPECT_GT(served, 0u);
 }
 
@@ -356,14 +379,16 @@ TEST(Service, AllUniqueCandidateStreamUnderConcurrentHotSwap)
     cfg.cache_shards = 4;
     serve::PredictionService service(registry, testDeviceTable(), cfg);
 
-    // A mutation chain of unique candidates, deduped by fingerprint
-    // so the stream really is all-unique.
+    // A mutation chain of unique candidates, deduped by fingerprint.
+    // Each candidate is served once on each of two devices, so every
+    // (graph, device) key of the stream is distinct and the stream is
+    // four times the cache capacity.
     const dnn::SearchSpace space;
     Rng rng(2024);
     dnn::ArchGenome genome = dnn::sampleGenome(space, rng);
     std::vector<dnn::Graph> candidates;
     std::set<std::uint64_t> fps;
-    while (candidates.size() < 48) {
+    while (candidates.size() < 2 * cfg.cache_capacity) {
         genome = search::mutateGenome(genome, space, rng);
         dnn::Graph g = dnn::quantize(
             dnn::buildGenome(genome, space, "stress"));
@@ -375,35 +400,32 @@ TEST(Service, AllUniqueCandidateStreamUnderConcurrentHotSwap)
     const std::string dev_a = (dev_it++)->first;
     const std::string dev_b = dev_it->first;
 
-    std::atomic<bool> stop{false};
-    std::thread writer([&] {
-        for (int i = 0; i < 200; ++i) {
-            registry.activate(1 + (i % 2));
-            std::this_thread::yield();
-        }
-        stop.store(true);
-    });
+    // The reader owns the loop (a fixed request budget); the writer
+    // swaps versions until the reader is done, so the swaps overlap
+    // the whole stream on any core count.
     std::uint64_t probes = 0;
-    std::size_t next = 0;
-    while (!stop.load()) {
-        std::vector<serve::ServeRequest> batch;
-        for (std::size_t j = 0; j < 12; ++j) {
-            serve::ServeRequest r;
-            r.id = std::to_string(j);
-            r.graph_ptr = &candidates[(next + j) % candidates.size()];
-            r.device = j % 2 == 0 ? dev_a : dev_b;
-            batch.push_back(std::move(r));
+    {
+        const RegistrySwapper writer(registry);
+        const std::size_t stream = 2 * candidates.size();
+        for (std::size_t next = 0; next < stream; next += 12) {
+            std::vector<serve::ServeRequest> batch;
+            for (std::size_t k = next; k < next + 12 && k < stream;
+                 ++k) {
+                serve::ServeRequest r;
+                r.id = std::to_string(k);
+                r.graph_ptr = &candidates[k / 2];
+                r.device = k % 2 == 0 ? dev_a : dev_b;
+                batch.push_back(std::move(r));
+            }
+            const auto responses = service.processBatch(batch);
+            for (const auto &resp : responses) {
+                ASSERT_TRUE(resp.ok) << resp.error_message;
+                ASSERT_TRUE(resp.model_version == 1
+                            || resp.model_version == 2);
+            }
+            probes += batch.size();
         }
-        next = (next + 12) % candidates.size();
-        const auto responses = service.processBatch(batch);
-        for (const auto &resp : responses) {
-            ASSERT_TRUE(resp.ok) << resp.error_message;
-            ASSERT_TRUE(resp.model_version == 1
-                        || resp.model_version == 2);
-        }
-        probes += batch.size();
     }
-    writer.join();
 
     const auto st = service.cache().stats();
     // Every request resolved and probed exactly once; batches never

@@ -7,7 +7,7 @@
 #      clang-tidy (when installed) sweeps the directories touched by
 #      the current change using the lane's compile database;
 #   2. build everything with warnings-as-errors under ASan+UBSan and
-#      run the tier-1 test suite;
+#      run the tier-1 test suite, then run it again pinned to one core;
 #   3. rebuild the parallel-path tests under TSan (address and thread
 #      sanitizers are mutually exclusive, hence the second build tree)
 #      and run them with a worker pool forced on via GCM_THREADS,
@@ -98,11 +98,23 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 echo "check.sh: clean under ASan+UBSan with -Wall -Wextra -Werror"
 
+# --- Single-core lane: the same suite pinned to one CPU. On one core a
+# yield hands the CPU to the other thread, on many cores both run at
+# once; the concurrency tests must pass under both schedules, and the
+# TSan lane below covers the many-core one with GCM_THREADS=8.
+(
+    cd "$BUILD"
+    taskset -c 0 ctest --output-on-failure -j "$JOBS" "$@"
+)
+
+echo "check.sh: tier-1 clean pinned to one core (taskset -c 0)"
+
 # --- TSan lane: the tests that exercise the parallel execution layer.
 PARALLEL_TESTS=(test_parallel test_tree test_gbt test_baselines
                 test_campaign test_cross_validation test_signature
                 test_obs test_obs_determinism test_faults test_serve
-                test_flat_ensemble test_search test_fleet)
+                test_flat_ensemble test_search test_fleet
+                test_factored_train)
 
 cmake -S "$ROOT" -B "$TSAN_BUILD" \
     -DGCM_SANITIZE=thread \
