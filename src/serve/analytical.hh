@@ -1,7 +1,7 @@
 /**
  * @file
  * AnalyticalEstimator — the model-free bottom rung of the serving
- * degradation ladder (frontend.hh, DESIGN.md §14).
+ * degradation ladder (frontend.hh, DESIGN.md §10).
  *
  * When the front end is past its hard watermark (or no cost-model
  * snapshot is servable at all), requests are answered from a pure

@@ -84,15 +84,6 @@ percentile(std::vector<double> sample, double p)
     return sample[idx];
 }
 
-std::string
-formatQps(double v)
-{
-    std::ostringstream os;
-    os.precision(1);
-    os << std::fixed << v;
-    return os.str();
-}
-
 } // namespace
 
 std::string
@@ -105,7 +96,7 @@ FrontEndReport::summary() const
        << " served (" << ok << " ok, " << errors << " errors), "
        << tier_shed << " shed over " << sim_duration_ms
        << " simulated ms on " << workers << " worker(s)\n";
-    os << "  goodput " << formatQps(goodput_qps)
+    os << "  goodput " << goodput_qps
        << " req/s, shed-rate " << (100.0 * shed_rate)
        << "%, utilization " << (100.0 * utilization) << "%\n";
     os << "  tiers: full " << tier_full << " / stale " << tier_stale
@@ -159,9 +150,23 @@ ServerFrontEnd::capacityQps() const
     return static_cast<double>(workers_) * 1000.0 / per_request;
 }
 
+std::size_t
+ServerFrontEnd::closedWindow() const
+{
+    // A class queue holds at most window - 1 requests when the next
+    // one is admitted, and the first degrading rung starts at this
+    // depth.
+    const std::size_t first_degrading =
+        config_.degrade == DegradeMode::Ladder ? config_.soft_watermark
+                                               : config_.queue_capacity;
+    return std::max<std::size_t>(
+        1, std::min(workers_ * config_.batch_size, first_degrading));
+}
+
 FrontEndReport
 ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
-                    std::vector<std::string> *responses_out)
+                    std::vector<std::string> *responses_out,
+                    std::size_t window)
 {
     const obs::TraceSpan span("serve.frontend.run");
     const std::size_t n = arrivals.size();
@@ -199,7 +204,8 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
         /** Written by exactly one worker in the execute phase. */
         bool ok = false;
         double arrival_ms = 0.0;
-        double done_ms = 0.0;
+        /** Simulated completion; infinite until dispatched or shed. */
+        double done_ms = std::numeric_limits<double>::infinity();
     };
     struct Batch
     {
@@ -210,147 +216,156 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
     std::vector<std::vector<Batch>> worker_batches(workers_);
     std::vector<std::string> rendered(n);
 
-    std::deque<std::size_t> queues[2]; // [Priority]
-    std::size_t peaks[2] = {0, 0};
-    std::vector<double> busy_until(workers_, 0.0);
+    std::size_t peaks[2] = {0, 0}; // [Priority]
     double busy_total = 0.0;
-    // Idle workers in id order: lowest id claims the next batch, so
-    // the plan does not depend on completion-event heap internals.
-    std::vector<bool> idle(workers_, true);
-    std::size_t idle_count = workers_;
-    using Completion = std::pair<double, std::size_t>; // (time, worker)
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        completions;
-
-    const auto tier_cost = [&](ServeTier t) {
-        switch (t) {
-          case ServeTier::Full: return config_.full_cost_ms;
-          case ServeTier::Stale: return config_.stale_cost_ms;
-          default: return config_.analytical_cost_ms;
-        }
-    };
-    const auto ladder = [&](std::size_t depth) {
-        ServeTier t = ServeTier::Full;
-        if (config_.degrade == DegradeMode::Ladder) {
-            if (depth >= config_.hard_watermark)
-                t = ServeTier::Analytical;
-            else if (depth >= config_.soft_watermark)
-                t = ServeTier::Stale;
-            // Availability: a mid-swap registry (active changed after
-            // the run pinned it) caps Full at Stale; a missing
-            // previous version escalates Stale to Analytical.
-            if (t == ServeTier::Full
-                && (!active_servable
-                    || registry_.activeVersion() != active.version))
-                t = ServeTier::Stale;
-            if (t == ServeTier::Stale && !prev_servable)
-                t = ServeTier::Analytical;
-        }
-        return t;
-    };
-    const auto dispatch = [&](double now) {
-        while (idle_count > 0) {
-            std::deque<std::size_t> *q = nullptr;
-            if (!queues[0].empty())
-                q = &queues[0]; // interactive always drains first
-            else if (!queues[1].empty())
-                q = &queues[1];
-            else
-                break;
-            std::size_t w = 0;
-            while (!idle[w])
-                ++w;
-            idle[w] = false;
-            --idle_count;
-            Batch b;
-            b.worker = w;
-            double cost = config_.batch_overhead_ms;
-            const std::size_t take =
-                std::min(config_.batch_size, q->size());
-            b.items.reserve(take);
-            for (std::size_t k = 0; k < take; ++k) {
-                const std::size_t idx = q->front();
-                q->pop_front();
-                cost += tier_cost(items[idx].tier);
-                b.items.push_back(idx);
-            }
-            const double done = now + cost;
-            busy_until[w] = done;
-            busy_total += cost;
-            for (const std::size_t idx : b.items)
-                items[idx].done_ms = done;
-            completions.emplace(done, w);
-            worker_batches[w].push_back(std::move(b));
-        }
-    };
-
     FrontEndReport report;
     report.workers = workers_;
     report.offered = n;
-    std::size_t next = 0;
-    double clock = 0.0;
-    while (next < n || !completions.empty()) {
-        const double ta = next < n
-                              ? arrivals[next].time_ms
-                              : std::numeric_limits<double>::infinity();
-        if (!completions.empty() && completions.top().first <= ta) {
-            const auto [t, w] = completions.top();
-            completions.pop();
-            clock = t;
-            idle[w] = true;
-            ++idle_count;
-            dispatch(clock);
-            continue;
-        }
-        // Admit the next arrival.
-        const std::size_t i = next++;
-        clock = ta;
-        Item &item = items[i];
-        item.arrival_ms = ta;
-        item.parse_error =
-            tryParseRequest(arrivals[i].line, item.request);
-        const std::size_t cls =
-            item.request.priority == Priority::Bulk ? 1 : 0;
-        const std::size_t depth = queues[cls].size();
-        if (depth >= config_.queue_capacity) {
-            item.shed = true;
-            item.tier = ServeTier::Shed;
-            item.done_ms = ta;
-            ServeResponse r = ServeResponse::failure(
-                item.request.id, ServeErrorCode::Overloaded,
-                std::string("admission queue full (")
-                    + priorityName(item.request.priority) + ")");
-            r.tier = ServeTier::Shed;
-            r.queue_depth = depth;
-            r.retry_after_ms = static_cast<double>(depth)
-                               * config_.full_cost_ms
-                               / static_cast<double>(workers_);
-            rendered[i] = renderResponse(r);
-        } else {
-            item.tier = ladder(depth);
-            queues[cls].push_back(i);
-            peaks[cls] = std::max(peaks[cls], queues[cls].size());
-        }
-        dispatch(clock);
-    }
-    report.sim_duration_ms = clock;
-    report.peak_queue_interactive = peaks[0];
-    report.peak_queue_bulk = peaks[1];
+    {
+        const obs::TraceSpan plan_span("serve.frontend.plan");
+        std::deque<std::size_t> queues[2]; // [Priority]
+        // Idle workers in id order: lowest id claims the next batch, so
+        // the plan does not depend on completion-event heap internals.
+        std::vector<bool> idle(workers_, true);
+        std::size_t idle_count = workers_;
+        using Completion = std::pair<double, std::size_t>; // (time, worker)
+        std::priority_queue<Completion, std::vector<Completion>,
+                            std::greater<Completion>>
+            completions;
 
-    std::vector<double> sojourns;
-    sojourns.reserve(n);
-    for (const Item &item : items) {
-        switch (item.tier) {
-          case ServeTier::Full: ++report.tier_full; break;
-          case ServeTier::Stale: ++report.tier_stale; break;
-          case ServeTier::Analytical:
-            ++report.tier_analytical;
-            break;
-          case ServeTier::Shed: ++report.tier_shed; break;
+        const auto tier_cost = [&](ServeTier t) {
+            switch (t) {
+              case ServeTier::Full: return config_.full_cost_ms;
+              case ServeTier::Stale: return config_.stale_cost_ms;
+              default: return config_.analytical_cost_ms;
+            }
+        };
+        const auto ladder = [&](std::size_t depth) {
+            ServeTier t = ServeTier::Full;
+            if (config_.degrade == DegradeMode::Ladder) {
+                if (depth >= config_.hard_watermark)
+                    t = ServeTier::Analytical;
+                else if (depth >= config_.soft_watermark)
+                    t = ServeTier::Stale;
+                // Availability: a mid-swap registry (active changed after
+                // the run pinned it) caps Full at Stale; a missing
+                // previous version escalates Stale to Analytical.
+                if (t == ServeTier::Full
+                    && (!active_servable
+                        || registry_.activeVersion() != active.version))
+                    t = ServeTier::Stale;
+                if (t == ServeTier::Stale && !prev_servable)
+                    t = ServeTier::Analytical;
+            }
+            return t;
+        };
+        const auto dispatch = [&](double now) {
+            while (idle_count > 0) {
+                std::deque<std::size_t> *q = nullptr;
+                if (!queues[0].empty())
+                    q = &queues[0]; // interactive always drains first
+                else if (!queues[1].empty())
+                    q = &queues[1];
+                else
+                    break;
+                std::size_t w = 0;
+                while (!idle[w])
+                    ++w;
+                idle[w] = false;
+                --idle_count;
+                Batch b;
+                b.worker = w;
+                double cost = config_.batch_overhead_ms;
+                const std::size_t take =
+                    std::min(config_.batch_size, q->size());
+                b.items.reserve(take);
+                for (std::size_t k = 0; k < take; ++k) {
+                    const std::size_t idx = q->front();
+                    q->pop_front();
+                    cost += tier_cost(items[idx].tier);
+                    b.items.push_back(idx);
+                }
+                const double done = now + cost;
+                busy_total += cost;
+                for (const std::size_t idx : b.items)
+                    items[idx].done_ms = done;
+                completions.emplace(done, w);
+                worker_batches[w].push_back(std::move(b));
+            }
+        };
+
+        // When request i can be admitted, given the clock. Closed loop
+        // waits for request i-W to complete (its done_ms stays infinite
+        // while it is queued) and keeps admissions in request order.
+        const auto admit_time = [&](std::size_t i, double now) {
+            if (i >= n)
+                return std::numeric_limits<double>::infinity();
+            if (window == 0 || i < window)
+                return arrivals[i].time_ms;
+            return std::max(
+                {arrivals[i].time_ms, items[i - window].done_ms, now});
+        };
+
+        std::size_t next = 0;
+        double clock = 0.0;
+        while (next < n || !completions.empty()) {
+            const double ta = admit_time(next, clock);
+            // Open loop completes a batch before a same-instant arrival.
+            // Closed loop admits first: the requests released by a batch
+            // join the queue before that worker picks its next batch.
+            const bool complete_first =
+                !completions.empty()
+                && (window == 0 ? completions.top().first <= ta
+                                : completions.top().first < ta);
+            if (complete_first) {
+                const auto [t, w] = completions.top();
+                completions.pop();
+                clock = t;
+                idle[w] = true;
+                ++idle_count;
+                dispatch(clock);
+                continue;
+            }
+            // Admit the next arrival. A queued gate implies a busy worker,
+            // so its completion is pending and ta is finite here.
+            GCM_ASSERT(ta < std::numeric_limits<double>::infinity(),
+                       "closed-loop gate was never dispatched");
+            const std::size_t i = next++;
+            clock = ta;
+            Item &item = items[i];
+            item.arrival_ms = ta;
+            item.parse_error =
+                tryParseRequest(arrivals[i].line, item.request);
+            const std::size_t cls =
+                item.request.priority == Priority::Bulk ? 1 : 0;
+            const std::size_t depth = queues[cls].size();
+            if (depth >= config_.queue_capacity) {
+                item.shed = true;
+                item.tier = ServeTier::Shed;
+                item.done_ms = ta;
+                ServeResponse r = ServeResponse::failure(
+                    item.request.id, ServeErrorCode::Overloaded,
+                    std::string("admission queue full (")
+                        + priorityName(item.request.priority) + ")");
+                r.tier = ServeTier::Shed;
+                r.queue_depth = depth;
+                r.retry_after_ms = static_cast<double>(depth)
+                                   * config_.full_cost_ms
+                                   / static_cast<double>(workers_);
+                rendered[i] = renderResponse(r);
+            } else {
+                item.tier = ladder(depth);
+                queues[cls].push_back(i);
+                peaks[cls] = std::max(peaks[cls], queues[cls].size());
+            }
+            // Closed loop admits every request ready at this instant
+            // before dispatching, so batches are not cut short.
+            if (window == 0 || admit_time(next, clock) > clock)
+                dispatch(clock);
         }
-        if (!item.shed)
-            sojourns.push_back(item.done_ms - item.arrival_ms);
+        report.sim_duration_ms = clock;
+        report.peak_queue_interactive = peaks[0];
+        report.peak_queue_bulk = peaks[1];
     }
 
     // ------------------------------------------------------------------
@@ -417,6 +432,7 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
         }
     };
     {
+        const obs::TraceSpan execute_span("serve.frontend.execute");
         std::vector<std::thread> threads;
         threads.reserve(workers_ > 0 ? workers_ - 1 : 0);
         for (std::size_t w = 1; w < workers_; ++w)
@@ -430,13 +446,21 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
             std::rethrow_exception(e);
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-        if (items[i].shed)
+    std::vector<double> sojourns;
+    sojourns.reserve(n);
+    for (const Item &item : items) {
+        switch (item.tier) {
+          case ServeTier::Full: ++report.tier_full; break;
+          case ServeTier::Stale: ++report.tier_stale; break;
+          case ServeTier::Analytical:
+            ++report.tier_analytical;
+            break;
+          case ServeTier::Shed: ++report.tier_shed; break;
+        }
+        if (item.shed)
             continue;
-        if (items[i].ok)
-            ++report.ok;
-        else
-            ++report.errors;
+        sojourns.push_back(item.done_ms - item.arrival_ms);
+        ++(item.ok ? report.ok : report.errors);
     }
 
     report.goodput_qps =
@@ -486,22 +510,39 @@ std::size_t
 runFrontEndLoop(ServerFrontEnd &frontend, std::istream &in,
                 std::ostream &out, double arrival_qps)
 {
-    const double qps =
-        arrival_qps > 0.0 ? arrival_qps : frontend.capacityQps();
-    const double step_ms = 1000.0 / qps;
+    // Open loop times the whole stream at the fixed rate in one run.
+    // Closed loop stamps every line 0 and lets the window pace it, so
+    // it can serve the stream in runs: responses flow while the input
+    // is still open and memory stays bounded. Each run starts and
+    // joins its workers, hence runs of many windows (DESIGN.md §10).
+    constexpr std::size_t kClosedRunLines = 1024;
+    const bool open = arrival_qps > 0.0;
+    const double step_ms = open ? 1000.0 / arrival_qps : 0.0;
+    const std::size_t window = open ? 0 : frontend.closedWindow();
+    const std::size_t chunk = open
+                                  ? std::numeric_limits<std::size_t>::max()
+                                  : std::max(window, kClosedRunLines);
     std::vector<Arrival> arrivals;
-    std::string line;
-    double t = 0.0;
-    while (std::getline(in, line)) {
-        arrivals.push_back({t, std::move(line)});
-        t += step_ms;
-    }
     std::vector<std::string> responses;
-    frontend.run(arrivals, &responses);
-    for (const std::string &r : responses)
-        out << r << '\n';
-    out.flush();
-    return arrivals.size();
+    std::string line;
+    std::size_t consumed = 0;
+    double t = 0.0;
+    for (bool more = true; more;) {
+        arrivals.clear();
+        while (arrivals.size() < chunk
+               && (more = static_cast<bool>(std::getline(in, line)))) {
+            arrivals.push_back({t, std::move(line)});
+            t += step_ms;
+        }
+        if (arrivals.empty())
+            break;
+        frontend.run(arrivals, &responses, window);
+        for (const std::string &r : responses)
+            out << r << '\n';
+        out.flush();
+        consumed += arrivals.size();
+    }
+    return consumed;
 }
 
 } // namespace gcm::serve

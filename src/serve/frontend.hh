@@ -1,7 +1,9 @@
 /**
  * @file
- * ServerFrontEnd — multi-worker serving with backpressure, priority
- * classes and a graceful-degradation ladder (DESIGN.md §14).
+ * ServerFrontEnd — the serving engine: multi-worker serving with
+ * backpressure, priority classes and a graceful-degradation ladder
+ * (DESIGN.md §10). `gcm serve`, both load generators and the fleet
+ * loop all serve through run().
  *
  * The front end owns N workers pulling micro-batches from two bounded
  * FIFO queues, one per Priority class; interactive traffic always
@@ -17,19 +19,29 @@
  * version changed after the run pinned it) caps Full at Stale; no
  * previous version (or no servable model at all) escalates Stale to
  * Analytical. DegradeMode::ShedOnly disables the middle rungs —
- * the pre-ladder binary accept/reject behavior.
+ * binary accept/reject.
  *
- * Determinism contract (the serving extension of the PR-2 rule).
+ * Open and closed arrivals. An open-loop caller (window 0: Poisson
+ * loadgen, fixed-rate pacing, the fleet loop) admits each request at
+ * its own timestamp, however far behind the server falls. A
+ * closed-loop caller with window W keeps at most W requests
+ * outstanding: request i is admitted at its timestamp or at the
+ * simulated completion of request i-W, whichever is later.
+ * closedWindow() derives the W that `gcm serve` uses from the config
+ * so that a class queue can never reach the first degrading
+ * watermark — a stream without timestamps is never degraded or shed.
+ *
+ * Determinism contract (the serving side of DESIGN.md §7).
  * Queueing decisions depend on *time*, which is why naive multi-
  * threaded serving is unreproducible. The front end splits each run
  * into two phases:
  *
  *  1. Plan (serial, simulated clock): a discrete-event simulation
- *     walks arrivals in timestamp order against per-tier service
+ *     walks arrivals in admission order against per-tier service
  *     costs (FrontEndConfig), assigning every request its tier,
  *     worker and batch, and every batch its start/finish time. With
- *     a fixed arrival stream and fixed worker count this phase is a
- *     pure function — tier decisions, shed set, queue peaks and
+ *     a fixed arrival stream, window and worker count this phase is
+ *     a pure function — tier decisions, shed set, queue peaks and
  *     sojourn percentiles are exactly reproducible.
  *  2. Execute (parallel, real threads): the planned batches run on
  *     real worker threads (one PredictionService per worker — batch
@@ -168,12 +180,15 @@ class ServerFrontEnd
 
     /**
      * Serve one timestamped arrival stream (must be sorted by
-     * time_ms; validated). When `responses_out` is non-null it
-     * receives one rendered response line per arrival, index-aligned
-     * with the arrivals. Never throws on malformed request lines.
+     * time_ms; validated). `window` 0 is open loop; W > 0 admits
+     * request i no earlier than the simulated completion of request
+     * i-W. When `responses_out` is non-null it receives one rendered
+     * response line per arrival, index-aligned with the arrivals.
+     * Never throws on malformed request lines.
      */
     FrontEndReport run(const std::vector<Arrival> &arrivals,
-                       std::vector<std::string> *responses_out);
+                       std::vector<std::string> *responses_out,
+                       std::size_t window = 0);
 
     /** Resolved worker count (config.workers or the pool default). */
     std::size_t workers() const { return workers_; }
@@ -183,6 +198,14 @@ class ServerFrontEnd
      * second): workers / (full_cost + amortized batch overhead).
      */
     double capacityQps() const;
+
+    /**
+     * Closed-loop window for untimed streams: one batch per worker,
+     * capped so a class queue stays below the first degrading
+     * watermark (soft for the ladder, capacity for shed-only). At
+     * least 1.
+     */
+    std::size_t closedWindow() const;
 
     const FrontEndConfig &config() const { return config_; }
     const ModelRegistry &registry() const { return registry_; }
@@ -200,10 +223,13 @@ class ServerFrontEnd
 };
 
 /**
- * Read request lines from `in`, timestamp them with deterministic
- * fixed-rate arrivals (arrival_qps, or exactly capacityQps() when
- * <= 0), serve them through the front end, and write one response
- * line per request to `out`. Returns the number of lines consumed.
+ * Read request lines from `in`, serve them through the front end and
+ * write one response line per request to `out`, in request order.
+ * With arrival_qps > 0 the whole stream arrives open loop at that
+ * fixed rate; otherwise it is served closed loop with closedWindow(),
+ * in runs of max(window, 1024) lines, each run's responses flushed
+ * before the next run's lines are read.
+ * Returns the number of lines consumed.
  */
 std::size_t runFrontEndLoop(ServerFrontEnd &frontend, std::istream &in,
                             std::ostream &out, double arrival_qps = 0.0);

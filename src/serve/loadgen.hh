@@ -1,12 +1,11 @@
 /**
  * @file
- * Seeded closed-loop load generator for the serving subsystem.
+ * Seeded load generator for the serving engine (ServerFrontEnd).
  *
  * Synthesizes a deterministic gcm-serve/v1 request stream from a
- * seed and a mix profile, drives it through a RequestLoop in bursts,
- * and reports throughput, per-request latency percentiles
- * (p50/p95/p99, measured per burst on the wall clock) and the cache
- * hit/miss profile.
+ * seed and a mix profile, serves it through ServerFrontEnd::run and
+ * reports the run on the simulated clock (goodput, tiers, sojourn
+ * percentiles) plus wall time, throughput and the cache profile.
  *
  * Mixes:
  *  - DuplicateHeavy: requests are drawn (with a skewed weighting)
@@ -14,28 +13,21 @@
  *    state is almost all cache hits — the serving fast path.
  *  - UniqueHeavy: every request perturbs its raw signature vector,
  *    so every key is new and the cold path runs end to end.
+ * A bulk_fraction of the stream is tagged `"priority": "bulk"`.
  *
- * Determinism: the request *stream* and the response *stream* are
- * pure functions of (seed, config, model); timing numbers are not.
- * Responses are collected in request order, so two runs with the
- * same seed are byte-identical at any GCM_THREADS — the acceptance
- * check of PR 5 and a test in tests/test_serve.cc.
+ * Arrivals:
+ *  - Closed loop (offered_qps == 0): at most `burst` requests are
+ *    outstanding; request i is admitted once request i-burst has
+ *    completed on the simulated clock. target_qps > 0 spaces the
+ *    nominal arrivals at that rate; 0 offers them back to back.
+ *  - Open loop (offered_qps > 0): Poisson arrivals on the simulated
+ *    clock that do not wait for responses, which is what makes
+ *    overload regimes reachable at all.
  *
- * Closed loop with optional pacing: with target_qps > 0 the
- * generator sleeps between bursts to approximate the target offered
- * load; with 0 it runs back-to-back (peak throughput mode). Bursts
- * larger than the admission queue exercise explicit rejection.
- *
- * Open loop (PR 9): generateArrivals()/runOpenLoadGen() drive the
- * multi-worker ServerFrontEnd with Poisson arrivals *on the simulated
- * clock* at a configured offered_qps — arrivals do not wait for
- * responses, which is what makes overload regimes reachable at all.
- * A bulk_fraction of the stream is tagged `"priority": "bulk"`. The
- * whole run is deterministic: arrival times, tier decisions, goodput,
- * shed-rate and per-tier fractions are pure functions of
- * (seed, config, model, worker count). The one exception is the
- * shared cache's hit/miss/coalesce counters, which depend on worker
- * scheduling (frontend.hh).
+ * Determinism: arrival times, tier decisions, goodput, shed-rate,
+ * per-tier fractions and the response stream are pure functions of
+ * (seed, config, model, worker count). Wall time and the shared
+ * cache's hit/miss/coalesce counters are not (frontend.hh).
  */
 
 #ifndef GCM_SERVE_LOADGEN_HH
@@ -46,10 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/cache.hh"
 #include "serve/frontend.hh"
-#include "serve/protocol.hh"
-#include "serve/service.hh"
 
 namespace gcm::serve
 {
@@ -67,91 +56,59 @@ LoadMix parseLoadMix(const std::string &name);
 struct LoadGenConfig
 {
     std::size_t requests = 2000;
-    /** Requests offered per burst before draining. */
+    /** Closed loop: requests outstanding at once (the window). */
     std::size_t burst = 32;
-    /** Offered load; 0 = unpaced (as fast as the loop drains). */
+    /** Closed loop: nominal arrival rate; 0 = back to back. */
     double target_qps = 0.0;
     std::uint64_t seed = 42;
     LoadMix mix = LoadMix::DuplicateHeavy;
     /** Distinct (network, device) pairs of the duplicate-heavy pool. */
     std::size_t pool_size = 16;
-    LoopConfig loop;
-    /** Open-loop only: Poisson offered load (simulated req/s). */
+    /** Poisson offered load (simulated req/s); > 0 means open loop. */
     double offered_qps = 0.0;
-    /** Open-loop only: fraction of requests tagged priority "bulk". */
+    /** Fraction of requests tagged priority "bulk". */
     double bulk_fraction = 0.0;
+
+    bool openLoop() const { return offered_qps > 0.0; }
 
     /** Throws GcmError on invalid parameters. */
     void validate() const;
 };
 
 /** What one load-generation run measured. */
-struct LoadGenReport
+struct LoadReport
 {
-    std::size_t issued = 0;
-    std::size_t rejected = 0;
-    std::size_t ok = 0;
-    std::size_t errors = 0;
+    FrontEndReport frontend;
+    /** Closed-loop window; 0 for an open-loop run. */
+    std::size_t window = 0;
+    /** Poisson offered load; 0 for a closed-loop run. */
+    double offered_qps = 0.0;
+    double capacity_qps = 0.0;
+    /** Wall time of the serving run (plan + execute). */
     double wall_ms = 0.0;
-    double achieved_qps = 0.0;
-    /** Per-request latency percentiles (burst-attributed), ms. */
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    ShardedLruCache::Stats cache;
 
     /** Human-readable multi-line summary. */
     std::string summary() const;
 };
 
 /**
- * Generate the deterministic request stream for a config against a
- * service's device table and model signature width. Exposed so tests
- * can replay the exact stream the generator drives.
- */
-std::vector<std::string>
-generateRequests(const PredictionService &service,
-                 const LoadGenConfig &config);
-
-/**
- * Run the load generator against a service. When `responses_out` is
- * non-null, every response line is written to it in request order
- * (rejections included, at their request's position).
- */
-LoadGenReport runLoadGen(PredictionService &service,
-                         const LoadGenConfig &config,
-                         std::ostream *responses_out);
-
-/** What one open-loop overload run measured (all simulated-clock). */
-struct OpenLoadReport
-{
-    FrontEndReport frontend;
-    double offered_qps = 0.0;
-    double capacity_qps = 0.0;
-
-    /** Human-readable multi-line summary (goodput, shed, tiers). */
-    std::string summary() const;
-};
-
-/**
- * Generate the deterministic timestamped arrival stream for an
- * open-loop run: the same request bodies the closed-loop mixes
- * produce (plus priority tags for a bulk_fraction of them), with
- * Poisson inter-arrival gaps at config.offered_qps on the simulated
- * clock. Requires offered_qps > 0. Exposed so tests can replay the
- * exact stream.
+ * Generate the deterministic timestamped arrival stream for a run:
+ * request bodies from the mix, priority tags for a bulk_fraction of
+ * them, and simulated arrival times (Poisson when open loop, fixed
+ * spacing or all-zero when closed). Each part draws from its own
+ * forked stream, so changing one never perturbs the others. Exposed
+ * so tests can replay the exact stream.
  */
 std::vector<Arrival> generateArrivals(const ServerFrontEnd &frontend,
                                       const LoadGenConfig &config);
 
 /**
- * Run the open-loop generator against a multi-worker front end. When
- * `responses_out` is non-null, every response line is written to it
- * in arrival order (shed rejections included, in position).
+ * Run the generator against the front end. When `responses_out` is
+ * non-null, every response line is written to it in request order
+ * (shed rejections included, in position).
  */
-OpenLoadReport runOpenLoadGen(ServerFrontEnd &frontend,
-                              const LoadGenConfig &config,
-                              std::ostream *responses_out);
+LoadReport runLoad(ServerFrontEnd &frontend, const LoadGenConfig &config,
+                   std::ostream *responses_out);
 
 } // namespace gcm::serve
 

@@ -62,8 +62,8 @@ const char *priorityName(Priority p);
 
 /**
  * Which rung of the degradation ladder produced a response (see
- * frontend.hh). Single-loop serving (protocol.cc RequestLoop) only
- * ever produces Full and Shed.
+ * frontend.hh). Closed-loop serving at ServerFrontEnd::closedWindow()
+ * only ever produces Full.
  */
 enum class ServeTier
 {
@@ -109,7 +109,7 @@ enum class ServeErrorCode
     UnknownDevice,  // device name not in the device table
     BadGraph,       // inline graph failed to parse/verify
     NoModel,        // registry has no active servable snapshot
-    Overloaded,     // admission queue full (emitted by RequestLoop)
+    Overloaded,     // class queue full (shed by ServerFrontEnd)
     Internal,       // prediction failed after admission
 };
 

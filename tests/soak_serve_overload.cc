@@ -100,7 +100,7 @@ main()
     });
 
     std::ostringstream out;
-    const auto report = serve::runOpenLoadGen(frontend, gen, &out);
+    const auto report = serve::runLoad(frontend, gen, &out);
     operator_thread.join();
 
     std::fprintf(stderr, "%s\n", report.summary().c_str());

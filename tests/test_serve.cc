@@ -543,15 +543,14 @@ TEST(Service, EmptyRegistryYieldsNoModel)
 namespace
 {
 
-/** Run one line through a fresh serve loop; return the response. */
+/** Serve one line through a fresh closed-loop front end. */
 std::string
 serveOneLine(const std::string &line)
 {
-    serve::PredictionService service(testRegistry(), testDeviceTable(),
-                                     {});
+    serve::ServerFrontEnd frontend(testRegistry(), testDeviceTable());
     std::istringstream in(line + "\n");
     std::ostringstream out;
-    serve::runServeLoop(service, in, out);
+    serve::runFrontEndLoop(frontend, in, out);
     return out.str();
 }
 
@@ -682,8 +681,7 @@ TEST(Protocol, InlineGraphServesAndMatchesZooFingerprint)
 
 TEST(Protocol, ResponsesKeepRequestOrderAcrossParseFailures)
 {
-    serve::PredictionService service(testRegistry(), testDeviceTable(),
-                                     {});
+    serve::ServerFrontEnd frontend(testRegistry(), testDeviceTable());
     std::istringstream in(
         "{\"id\": \"a\", \"network\": \"mobilenet_v2_1.0\", "
         "\"device\": \""
@@ -693,7 +691,8 @@ TEST(Protocol, ResponsesKeepRequestOrderAcrossParseFailures)
           "{\"id\": \"c\", \"network\": \"mnasnet_a1\", \"device\": \""
         + firstDeviceName() + "\"}\n");
     std::ostringstream out;
-    const std::size_t consumed = serve::runServeLoop(service, in, out);
+    const std::size_t consumed =
+        serve::runFrontEndLoop(frontend, in, out);
     EXPECT_EQ(consumed, 3u);
 
     std::vector<std::string> lines;
@@ -710,26 +709,37 @@ TEST(Protocol, ResponsesKeepRequestOrderAcrossParseFailures)
 
 TEST(Protocol, BoundedQueueRejectsWithOverloaded)
 {
-    serve::PredictionService service(testRegistry(), testDeviceTable(),
-                                     {});
-    serve::LoopConfig cfg;
+    // A closed window wider than the two-slot queue: the three
+    // requests arrive at once, 1 and 2 fill the queue and 3 sheds
+    // with a structured overloaded response that echoes its id.
+    serve::FrontEndConfig cfg;
+    cfg.workers = 1;
     cfg.batch_size = 2;
     cfg.queue_capacity = 2;
-    serve::RequestLoop loop(service, cfg);
-    EXPECT_TRUE(loop.offer("{\"id\": \"1\"}"));
-    EXPECT_TRUE(loop.offer("{\"id\": \"2\"}"));
-    EXPECT_FALSE(loop.offer("{\"id\": \"3\"}"));
-
-    const std::string rejection =
-        serve::RequestLoop::renderOverloaded("{\"id\": \"3\"}");
-    EXPECT_NE(rejection.find("\"id\": \"3\""), std::string::npos);
-    EXPECT_NE(rejection.find("overloaded"), std::string::npos);
-
+    cfg.soft_watermark = 2;
+    cfg.hard_watermark = 2;
+    cfg.degrade = serve::DegradeMode::ShedOnly;
+    serve::ServerFrontEnd fe(testRegistry(), testDeviceTable(), cfg);
+    std::vector<serve::Arrival> arrivals;
+    for (int i = 1; i <= 3; ++i)
+        arrivals.push_back(
+            {0.0, "{\"id\": \"" + std::to_string(i) + "\"}"});
     std::vector<std::string> responses;
-    loop.drainAll(responses);
-    EXPECT_EQ(responses.size(), 2u);
-    EXPECT_EQ(loop.queued(), 0u);
-    EXPECT_THROW(serve::validateLoopConfig({4, 2}), GcmError);
+    const auto report = fe.run(arrivals, &responses, arrivals.size());
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_EQ(report.tier_shed, 1u);
+    EXPECT_EQ(report.peak_queue_interactive, 2u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(responses[i].find("overloaded"), std::string::npos);
+    EXPECT_NE(responses[2].find("\"id\": \"3\""), std::string::npos);
+    EXPECT_NE(responses[2].find("overloaded"), std::string::npos);
+
+    // The derived window keeps the queue below capacity: no shed.
+    EXPECT_EQ(fe.closedWindow(), 2u);
+    EXPECT_EQ(fe.run(arrivals, nullptr, fe.closedWindow()).tier_shed,
+              0u);
+    cfg.batch_size = 4; // capacity < one batch
+    EXPECT_THROW(cfg.validate(), GcmError);
 }
 
 // --- load generator ----------------------------------------------------
@@ -741,11 +751,10 @@ TEST(Loadgen, DuplicateHeavyIsDeterministicAndCacheBound)
     cfg.seed = 7;
     const auto run = [&cfg](std::size_t threads) {
         setThreads(threads);
-        serve::PredictionService service(testRegistry(),
-                                         testDeviceTable(), {});
+        serve::ServerFrontEnd fe(testRegistry(), testDeviceTable());
         std::ostringstream out;
-        const auto report = serve::runLoadGen(service, cfg, &out);
-        return std::make_pair(report, out.str());
+        const auto report = serve::runLoad(fe, cfg, &out);
+        return std::make_pair(report.frontend, out.str());
     };
     const auto [r1, s1] = run(1);
     const auto [r8, s8] = run(8);
@@ -755,8 +764,12 @@ TEST(Loadgen, DuplicateHeavyIsDeterministicAndCacheBound)
     EXPECT_FALSE(s1.empty());
     EXPECT_EQ(r1.ok, cfg.requests);
     EXPECT_EQ(r1.errors, 0u);
-    // The duplicate-heavy steady state is nearly all cache hits.
-    EXPECT_GT(r8.cache.hitRate(), 0.9);
+    // The default burst stays below the soft watermark.
+    EXPECT_EQ(r8.tier_full, cfg.requests);
+    // The duplicate-heavy steady state is nearly all cache hits. Only
+    // the one-worker count is deterministic: with several workers, a
+    // key two batches miss at once is counted twice (frontend.hh).
+    EXPECT_GT(r1.cache.hitRate(), 0.9);
 }
 
 TEST(Loadgen, UniqueHeavyNeverHitsTheCache)
@@ -764,9 +777,8 @@ TEST(Loadgen, UniqueHeavyNeverHitsTheCache)
     serve::LoadGenConfig cfg;
     cfg.requests = 64;
     cfg.mix = serve::LoadMix::UniqueHeavy;
-    serve::PredictionService service(testRegistry(), testDeviceTable(),
-                                     {});
-    const auto report = serve::runLoadGen(service, cfg, nullptr);
+    serve::ServerFrontEnd fe(testRegistry(), testDeviceTable());
+    const auto report = serve::runLoad(fe, cfg, nullptr).frontend;
     EXPECT_EQ(report.ok, cfg.requests);
     EXPECT_EQ(report.cache.hits, 0u);
     EXPECT_EQ(report.cache.misses, cfg.requests);
@@ -777,20 +789,25 @@ TEST(Loadgen, BurstsBeyondQueueCapacityShedExplicitly)
     serve::LoadGenConfig cfg;
     cfg.requests = 64;
     cfg.burst = 64;
-    cfg.loop.batch_size = 8;
-    cfg.loop.queue_capacity = 16; // < burst -> deterministic shedding
-    serve::PredictionService service(testRegistry(), testDeviceTable(),
-                                     {});
+    serve::FrontEndConfig fcfg;
+    fcfg.workers = 1;
+    fcfg.batch_size = 8;
+    fcfg.queue_capacity = 16; // < burst -> deterministic shedding
+    fcfg.soft_watermark = 16;
+    fcfg.hard_watermark = 16;
+    fcfg.degrade = serve::DegradeMode::ShedOnly;
+    serve::ServerFrontEnd fe(testRegistry(), testDeviceTable(), fcfg);
     std::ostringstream out;
-    const auto report = serve::runLoadGen(service, cfg, &out);
-    EXPECT_EQ(report.rejected, cfg.requests - cfg.loop.queue_capacity);
-    EXPECT_EQ(report.ok + report.errors, report.issued);
+    const auto report = serve::runLoad(fe, cfg, &out).frontend;
+    // All 64 are admitted at t = 0: 16 fill the queue, the rest shed.
+    EXPECT_EQ(report.tier_shed, cfg.requests - fcfg.queue_capacity);
+    EXPECT_EQ(report.served() + report.tier_shed, report.offered);
     // Every rejection is a structured overloaded response in-stream.
     std::size_t overloaded = 0;
     std::istringstream split(out.str());
     for (std::string line; std::getline(split, line);)
         overloaded += line.find("overloaded") != std::string::npos;
-    EXPECT_EQ(overloaded, report.rejected);
+    EXPECT_EQ(overloaded, report.tier_shed);
 }
 
 TEST(Loadgen, GeneratedStreamsReplayThroughTheLoop)
@@ -798,12 +815,19 @@ TEST(Loadgen, GeneratedStreamsReplayThroughTheLoop)
     serve::LoadGenConfig cfg;
     cfg.requests = 50;
     cfg.seed = 99;
-    serve::PredictionService service(testRegistry(), testDeviceTable(),
-                                     {});
-    const auto lines = serve::generateRequests(service, cfg);
-    ASSERT_EQ(lines.size(), cfg.requests);
-    for (const auto &line : lines)
-        EXPECT_NO_THROW((void)serve::parseRequestLine(line)) << line;
+    serve::ServerFrontEnd fe(testRegistry(), testDeviceTable());
+    auto arrivals = serve::generateArrivals(fe, cfg);
+    ASSERT_EQ(arrivals.size(), cfg.requests);
+    for (const auto &a : arrivals) {
+        EXPECT_EQ(a.time_ms, 0.0); // closed and unpaced
+        EXPECT_NO_THROW((void)serve::parseRequestLine(a.line))
+            << a.line;
+    }
+    // --qps spaces the nominal arrivals on the simulated clock.
+    cfg.target_qps = 500.0;
+    arrivals = serve::generateArrivals(fe, cfg);
+    for (std::size_t i = 0; i < arrivals.size(); ++i)
+        EXPECT_EQ(arrivals[i].time_ms, 2.0 * static_cast<double>(i));
     EXPECT_THROW((void)serve::parseLoadMix("bogus"), GcmError);
 }
 
@@ -1182,66 +1206,65 @@ TEST(FrontEnd, SurvivesConcurrentRollbackAndRetire)
     EXPECT_GT(runs, 0u);
 }
 
-TEST(FrontEnd, LoopHandlesHostileInputAtAnyWorkerCount)
+TEST(FrontEnd, ClosedLoopServeMatchesPerRequestOracle)
 {
-    // Satellite 3: truncated JSON, an oversized line and interleaved
-    // valid/invalid lines through the streaming loop. At every worker
-    // count: one complete response line per input line, in input
-    // order, never torn.
+    // An untimed stream served closed loop is never degraded or shed,
+    // at any worker count and overload policy, and its bytes equal
+    // serving each request alone through PredictionService: one
+    // complete response per line, in order, never torn. The stream:
+    // 20% bulk, every 8th line a raw signature, hostile lines
+    // (truncated JSON, an empty object, one oversized line), the rest
+    // named (network, device) pairs.
     std::string oversized = "{\"id\": \"big\", \"network\": \"";
     oversized.append(serve::kMaxRequestLineBytes, 'a');
     oversized += "\", \"device\": \"d\"}";
-    const std::vector<std::string> lines = {
-        "{\"id\": \"ok1\", \"network\": \"mobilenet_v2_1.0\", "
-        "\"device\": \"" + firstDeviceName() + "\"}",
-        "{\"id\": \"trunc", // truncated mid-string
-        oversized,
-        "{\"id\": \"ok2\", \"network\": \"mnasnet_a1\", \"device\": \""
-            + firstDeviceName() + "\"}",
-        "{}",
-        "{\"id\": \"ok3\", \"network\": \"mobilenet_v2_1.0\", "
-        "\"device\": \"" + firstDeviceName()
-            + "\", \"priority\": \"bulk\"}",
-    };
-    std::string expected_first; // responses must not vary by workers
-    for (const std::size_t workers : {1UL, 2UL, 8UL}) {
-        serve::FrontEndConfig cfg;
-        cfg.workers = workers;
-        serve::ServerFrontEnd fe(twoVersionRegistry(),
-                                 testDeviceTable(), cfg);
-        std::stringstream in, out;
-        for (const auto &line : lines)
-            in << line << "\n";
-        const std::size_t n = serve::runFrontEndLoop(fe, in, out);
-        EXPECT_EQ(n, lines.size());
+    serve::ServerFrontEnd gen_fe(testRegistry(), testDeviceTable());
+    serve::LoadGenConfig gen;
+    gen.requests = 3000;
+    gen.seed = 77;
+    gen.bulk_fraction = 0.2;
+    const auto named = serve::generateArrivals(gen_fe, gen);
+    gen.mix = serve::LoadMix::UniqueHeavy;
+    const auto raw = serve::generateArrivals(gen_fe, gen);
 
-        std::vector<std::string> responses;
-        std::istringstream split(out.str());
-        for (std::string line; std::getline(split, line);)
-            responses.push_back(line);
-        ASSERT_EQ(responses.size(), lines.size()) << "workers="
-                                                  << workers;
-        // Order: each ok id answers at its own index; error lines are
-        // complete JSON objects (no torn writes).
-        EXPECT_NE(responses[0].find("\"id\": \"ok1\""),
-                  std::string::npos);
-        EXPECT_NE(responses[1].find("bad_request"), std::string::npos);
-        EXPECT_NE(responses[2].find("byte limit"), std::string::npos);
-        EXPECT_NE(responses[3].find("\"id\": \"ok2\""),
-                  std::string::npos);
-        EXPECT_NE(responses[4].find("bad_request"), std::string::npos);
-        EXPECT_NE(responses[5].find("\"id\": \"ok3\""),
-                  std::string::npos);
-        for (const auto &line : responses) {
-            ASSERT_FALSE(line.empty());
-            EXPECT_EQ(line.front(), '{');
-            EXPECT_EQ(line.back(), '}');
+    serve::PredictionService oracle(testRegistry(), testDeviceTable(),
+                                    {});
+    std::string input, expected;
+    for (std::size_t i = 0; i < gen.requests; ++i) {
+        const std::string line =
+            i == 1000     ? oversized
+            : i % 33 == 5  ? "{\"id\": \"trunc" + std::to_string(i)
+            : i % 33 == 20 ? "{}"
+            : i % 8 == 3   ? raw[i].line
+                           : named[i].line;
+        input += line + "\n";
+        serve::ServeRequest request;
+        const std::string err = serve::tryParseRequest(line, request);
+        const serve::ServeResponse r =
+            err.empty() ? oracle.processBatch({request})[0]
+                        : serve::ServeResponse::failure(
+                              request.id,
+                              serve::ServeErrorCode::BadRequest, err);
+        expected += serve::renderResponse(r) + "\n";
+    }
+    ASSERT_NE(expected.find("byte limit"), std::string::npos);
+    for (const serve::DegradeMode mode :
+         {serve::DegradeMode::Ladder, serve::DegradeMode::ShedOnly}) {
+        for (const std::size_t workers : {1UL, 2UL, 8UL}) {
+            serve::FrontEndConfig cfg;
+            cfg.workers = workers;
+            cfg.degrade = mode;
+            serve::ServerFrontEnd fe(testRegistry(), testDeviceTable(),
+                                     cfg);
+            std::istringstream in(input);
+            std::ostringstream out;
+            EXPECT_EQ(serve::runFrontEndLoop(fe, in, out), gen.requests);
+            const std::string got = out.str();
+            EXPECT_EQ(got.find("overloaded"), std::string::npos);
+            EXPECT_EQ(got.find("\"degraded\""), std::string::npos);
+            EXPECT_EQ(got, expected)
+                << serve::degradeModeName(mode) << " x " << workers;
         }
-        if (expected_first.empty())
-            expected_first = out.str();
-        else
-            EXPECT_EQ(out.str(), expected_first)
-                << "workers=" << workers;
     }
 }
 
@@ -1289,7 +1312,7 @@ TEST(FrontEnd, OpenLoadGenIsDeterministic)
         serve::LoadGenConfig c = cfg;
         c.offered_qps = 2.0 * fe.capacityQps();
         std::ostringstream out;
-        const auto report = serve::runOpenLoadGen(fe, c, &out);
+        const auto report = serve::runLoad(fe, c, &out);
         // The cache counters are the one scheduling-dependent part of
         // the summary (frontend.hh), so compare the deterministic
         // digest alongside the full response stream.

@@ -9,11 +9,9 @@
  *   gcm predict --model m.txt --network <name> --signature a,b,c,...
  *   gcm chaos --rates 0,0.1,0.2,0.3       fault-rate sweep report
  *   gcm profile --network <name> --device <model-name>
- *   gcm serve --model m.txt                gcm-serve/v1 loop on
- *                                          stdin/stdout (or files)
- *   gcm serve --model m.txt --workers 4    multi-worker front end
- *                                          with the degradation ladder
- *   gcm loadgen --model m.txt --mix duplicate|unique
+ *   gcm serve --model m.txt                gcm-serve/v1 on stdin/stdout
+ *                                          (or files), multi-worker
+ *   gcm loadgen --model m.txt --mix duplicate|unique   closed loop
  *   gcm loadgen --model m.txt --arrivals open  overload mode
  *   gcm list-networks | gcm list-devices
  *
@@ -21,6 +19,7 @@
  * one machine trains to an identical model anywhere.
  */
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -30,6 +29,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/chaos.hh"
@@ -43,7 +43,6 @@
 #include "search/search.hh"
 #include "serve/frontend.hh"
 #include "serve/loadgen.hh"
-#include "serve/protocol.hh"
 #include "serve/registry.hh"
 #include "serve/service.hh"
 #include "sim/profiler.hh"
@@ -82,12 +81,44 @@ flagOr(const std::map<std::string, std::string> &flags,
     return it == flags.end() ? fallback : it->second;
 }
 
+/**
+ * Parse `text` as the value of flag --key. Throws GcmError on empty
+ * input, trailing characters, a sign on an unsigned type or a
+ * non-finite double, so a typo is an error rather than a silently
+ * truncated or wrapped-around value.
+ */
+template <typename T>
+T
+parseNum(const std::string &key, const std::string &text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    bool ok = !text.empty() && ec == std::errc() && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value);
+    if (!ok) {
+        fatal("--", key, ": expected ",
+              std::is_floating_point_v<T> ? "a finite number"
+                                          : "a non-negative integer",
+              ", got '", text, "'");
+    }
+    return value;
+}
+
+template <typename T>
+T
+flagNum(const std::map<std::string, std::string> &flags,
+        const std::string &key, const std::string &fallback)
+{
+    return parseNum<T>(key, flagOr(flags, key, fallback));
+}
+
 int
 cmdDataset(const std::map<std::string, std::string> &flags)
 {
     const std::string out = flagOr(flags, "out", "gcm_dataset.csv");
-    const double fault_rate =
-        std::stod(flagOr(flags, "faults", "0"));
+    const double fault_rate = flagNum<double>(flags, "faults", "0");
     core::ExperimentConfig cfg;
     cfg.campaign.aggregator =
         sim::parseAggregator(flagOr(flags, "aggregator", "mean"));
@@ -109,8 +140,7 @@ cmdDataset(const std::map<std::string, std::string> &flags)
     // the sparse repository a real flaky crowd would have produced.
     sim::CampaignConfig cc = cfg.campaign;
     cc.faults = sim::FaultParams::uniformRate(fault_rate);
-    cc.fault_seed = static_cast<std::uint64_t>(
-        std::stoull(flagOr(flags, "fault-seed", "7021")));
+    cc.fault_seed = flagNum<std::uint64_t>(flags, "fault-seed", "7021");
     const sim::CharacterizationCampaign campaign(
         ctx.fleet(), ctx.campaign().model(), cc);
     const sim::CampaignReport report =
@@ -143,8 +173,7 @@ cmdTrain(const std::map<std::string, std::string> &flags)
     const std::string data = flagOr(flags, "data", "");
     const std::string out = flagOr(flags, "out", "gcm_model.txt");
     const std::string method = flagOr(flags, "method", "mis");
-    const std::size_t size =
-        static_cast<std::size_t>(std::stoul(flagOr(flags, "size", "10")));
+    const std::size_t size = flagNum<std::size_t>(flags, "size", "10");
 
     // Rebuild the deterministic suite and align it with the CSV rows.
     const auto ctx = core::ExperimentContext::build();
@@ -228,7 +257,7 @@ cmdPredict(const std::map<std::string, std::string> &flags)
         if (item.empty() || item == "nan" || item == "NaN") {
             sig.push_back(std::numeric_limits<double>::quiet_NaN());
         } else {
-            sig.push_back(std::stod(item));
+            sig.push_back(parseNum<double>("signature", item));
         }
     }
 
@@ -270,17 +299,14 @@ cmdChaos(const std::map<std::string, std::string> &flags)
     core::ChaosSweepConfig cfg;
     // Reduced scale by default: the sweep re-runs the campaign and
     // trains a model per fault rate.
-    cfg.experiment.num_random_networks = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "networks", "12")));
-    cfg.experiment.num_devices = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "devices", "24")));
+    cfg.experiment.num_random_networks =
+        flagNum<std::size_t>(flags, "networks", "12");
+    cfg.experiment.num_devices = flagNum<std::size_t>(flags, "devices", "24");
     cfg.experiment.campaign.runs_per_network =
-        static_cast<std::size_t>(
-            std::stoul(flagOr(flags, "runs", "5")));
+        flagNum<std::size_t>(flags, "runs", "5");
     cfg.experiment.campaign.aggregator =
         sim::parseAggregator(flagOr(flags, "aggregator", "mean"));
-    cfg.fault_seed = static_cast<std::uint64_t>(
-        std::stoull(flagOr(flags, "fault-seed", "7021")));
+    cfg.fault_seed = flagNum<std::uint64_t>(flags, "fault-seed", "7021");
     cfg.gbt.n_estimators = 40;
 
     const std::string rates = flagOr(flags, "rates", "0,0.1,0.2,0.3");
@@ -288,7 +314,7 @@ cmdChaos(const std::map<std::string, std::string> &flags)
     std::stringstream ss(rates);
     std::string item;
     while (std::getline(ss, item, ','))
-        cfg.fault_rates.push_back(std::stod(item));
+        cfg.fault_rates.push_back(parseNum<double>("rates", item));
     if (cfg.fault_rates.empty())
         fatal("chaos: --rates parsed to nothing");
 
@@ -392,42 +418,28 @@ serve::ServiceConfig
 serviceConfigFromFlags(const std::map<std::string, std::string> &flags)
 {
     serve::ServiceConfig cfg;
-    cfg.cache_capacity = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "cache", "4096")));
-    cfg.cache_shards = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "shards", "8")));
+    cfg.cache_capacity = flagNum<std::size_t>(flags, "cache", "4096");
+    cfg.cache_shards = flagNum<std::size_t>(flags, "shards", "8");
     return cfg;
 }
 
-serve::LoopConfig
-loopConfigFromFlags(const std::map<std::string, std::string> &flags)
-{
-    serve::LoopConfig cfg;
-    cfg.batch_size = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "batch", "32")));
-    cfg.queue_capacity = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "queue", "256")));
-    return cfg;
-}
-
-serve::FrontEndConfig
-frontEndConfigFromFlags(const std::map<std::string, std::string> &flags)
+/** The front end `gcm serve` and `gcm loadgen` configure from flags. */
+serve::ServerFrontEnd
+frontEndFromFlags(const std::map<std::string, std::string> &flags,
+                  const serve::ModelRegistry &registry)
 {
     serve::FrontEndConfig cfg;
-    cfg.workers = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "workers", "0")));
+    cfg.workers = flagNum<std::size_t>(flags, "workers", "0");
     cfg.degrade =
         serve::parseDegradeMode(flagOr(flags, "degrade", "ladder"));
-    cfg.batch_size = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "batch", "16")));
-    cfg.queue_capacity = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "queue", "256")));
-    cfg.soft_watermark = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "soft", "64")));
-    cfg.hard_watermark = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "hard", "160")));
+    cfg.batch_size = flagNum<std::size_t>(flags, "batch", "16");
+    cfg.queue_capacity = flagNum<std::size_t>(flags, "queue", "256");
+    cfg.soft_watermark = flagNum<std::size_t>(flags, "soft", "64");
+    cfg.hard_watermark = flagNum<std::size_t>(flags, "hard", "160");
     cfg.service = serviceConfigFromFlags(flags);
-    return cfg;
+    return serve::ServerFrontEnd(
+        registry, buildDeviceTable(registry.active().snapshot->costModel()),
+        cfg);
 }
 
 int
@@ -456,49 +468,20 @@ cmdServe(const std::map<std::string, std::string> &flags)
         out = &fout;
     }
 
-    // --workers (or --degrade / --arrival-qps) selects the
-    // multi-worker front end with the degradation ladder; without
-    // them the original single-threaded micro-batching loop runs.
-    const bool use_frontend = flags.count("workers") != 0
-                              || flags.count("degrade") != 0
-                              || flags.count("arrival-qps") != 0;
-    if (use_frontend) {
-        serve::ServerFrontEnd frontend(
-            registry, buildDeviceTable(active.snapshot->costModel()),
-            frontEndConfigFromFlags(flags));
-        const double arrival_qps =
-            std::stod(flagOr(flags, "arrival-qps", "0"));
-        const std::size_t consumed =
-            serve::runFrontEndLoop(frontend, *in, *out, arrival_qps);
-        const auto st = frontend.cache().stats();
-        std::fprintf(stderr,
-                     "served %zu requests on %zu worker(s) "
-                     "(model version %llu, degrade %s)\n"
-                     "cache: %llu hits, %llu misses, %llu evictions, "
-                     "%llu coalesced (hit rate %.1f%%)\n",
-                     consumed, frontend.workers(),
-                     (unsigned long long)active.version,
-                     serve::degradeModeName(
-                         frontend.config().degrade),
-                     (unsigned long long)st.hits,
-                     (unsigned long long)st.misses,
-                     (unsigned long long)st.evictions,
-                     (unsigned long long)st.coalesced,
-                     st.hitRate() * 100.0);
-        return 0;
-    }
-
-    serve::PredictionService service(
-        registry, buildDeviceTable(active.snapshot->costModel()),
-        serviceConfigFromFlags(flags));
-    const std::size_t consumed =
-        serve::runServeLoop(service, *in, *out, loopConfigFromFlags(flags));
-    const auto st = service.cache().stats();
+    // Without --arrival-qps the stream is served closed loop, so it
+    // is never degraded or shed; with it, open loop at that rate.
+    serve::ServerFrontEnd frontend = frontEndFromFlags(flags, registry);
+    const std::size_t consumed = serve::runFrontEndLoop(
+        frontend, *in, *out, flagNum<double>(flags, "arrival-qps", "0"));
+    const auto st = frontend.cache().stats();
     std::fprintf(stderr,
-                 "served %zu requests (model version %llu)\n"
+                 "served %zu requests on %zu worker(s) "
+                 "(model version %llu, degrade %s)\n"
                  "cache: %llu hits, %llu misses, %llu evictions, "
                  "%llu coalesced (hit rate %.1f%%, effective %.1f%%)\n",
-                 consumed, (unsigned long long)active.version,
+                 consumed, frontend.workers(),
+                 (unsigned long long)active.version,
+                 serve::degradeModeName(frontend.config().degrade),
                  (unsigned long long)st.hits,
                  (unsigned long long)st.misses,
                  (unsigned long long)st.evictions,
@@ -512,20 +495,30 @@ cmdLoadgen(const std::map<std::string, std::string> &flags)
 {
     serve::ModelRegistry registry;
     publishModelOrDie(flags, registry);
-    const auto active = registry.active();
+    serve::ServerFrontEnd frontend = frontEndFromFlags(flags, registry);
 
     serve::LoadGenConfig cfg;
-    cfg.requests = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "requests", "2000")));
-    cfg.burst = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "burst", "32")));
-    cfg.target_qps = std::stod(flagOr(flags, "qps", "0"));
-    cfg.seed = static_cast<std::uint64_t>(
-        std::stoull(flagOr(flags, "seed", "42")));
+    cfg.requests = flagNum<std::size_t>(flags, "requests", "2000");
+    cfg.burst = flagNum<std::size_t>(flags, "burst", "32");
+    cfg.target_qps = flagNum<double>(flags, "qps", "0");
+    cfg.seed = flagNum<std::uint64_t>(flags, "seed", "42");
     cfg.mix = serve::parseLoadMix(flagOr(flags, "mix", "duplicate"));
-    cfg.pool_size = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "pool", "16")));
-    cfg.loop = loopConfigFromFlags(flags);
+    cfg.pool_size = flagNum<std::size_t>(flags, "pool", "16");
+    cfg.bulk_fraction = flagNum<double>(flags, "bulk-fraction", "0");
+
+    const std::string arrivals = flagOr(flags, "arrivals", "closed");
+    if (arrivals == "open") {
+        // Poisson arrivals on the simulated clock at --offered-qps
+        // (default 2x the front end's capacity).
+        const std::string offered = flagOr(flags, "offered-qps", "");
+        cfg.offered_qps = offered.empty()
+                              ? 2.0 * frontend.capacityQps()
+                              : parseNum<double>("offered-qps", offered);
+        if (cfg.offered_qps <= 0.0)
+            fatal("--offered-qps must be > 0");
+    } else if (arrivals != "closed") {
+        fatal("--arrivals must be 'closed' or 'open'");
+    }
 
     const std::string out_path = flagOr(flags, "out", "");
     std::ofstream fout;
@@ -534,36 +527,8 @@ cmdLoadgen(const std::map<std::string, std::string> &flags)
         if (!fout)
             fatal("cannot open ", out_path, " for writing");
     }
-
-    const std::string arrivals = flagOr(flags, "arrivals", "closed");
-    if (arrivals == "open") {
-        // Open-loop overload mode against the multi-worker front
-        // end: Poisson arrivals on the simulated clock at
-        // --offered-qps (default 2x the front end's capacity).
-        serve::ServerFrontEnd frontend(
-            registry, buildDeviceTable(active.snapshot->costModel()),
-            frontEndConfigFromFlags(flags));
-        cfg.bulk_fraction =
-            std::stod(flagOr(flags, "bulk-fraction", "0"));
-        const std::string offered = flagOr(flags, "offered-qps", "");
-        cfg.offered_qps = offered.empty()
-                              ? 2.0 * frontend.capacityQps()
-                              : std::stod(offered);
-        const serve::OpenLoadReport report = serve::runOpenLoadGen(
-            frontend, cfg, out_path.empty() ? nullptr : &fout);
-        std::printf("%s\n", report.summary().c_str());
-        if (!out_path.empty())
-            std::printf("responses written to %s\n", out_path.c_str());
-        return 0;
-    }
-    if (arrivals != "closed")
-        fatal("--arrivals must be 'closed' or 'open'");
-
-    serve::PredictionService service(
-        registry, buildDeviceTable(active.snapshot->costModel()),
-        serviceConfigFromFlags(flags));
-    const serve::LoadGenReport report = serve::runLoadGen(
-        service, cfg, out_path.empty() ? nullptr : &fout);
+    const serve::LoadReport report = serve::runLoad(
+        frontend, cfg, out_path.empty() ? nullptr : &fout);
     std::printf("%s\n", report.summary().c_str());
     if (!out_path.empty())
         std::printf("responses written to %s\n", out_path.c_str());
@@ -581,7 +546,7 @@ cmdSearch(const std::map<std::string, std::string> &flags)
         serviceConfigFromFlags(flags));
 
     search::SearchConfig cfg;
-    cfg.budget_ms = std::stod(flagOr(flags, "budget-ms", "0"));
+    cfg.budget_ms = flagNum<double>(flags, "budget-ms", "0");
     const std::string devices =
         flagOr(flags, "devices", flagOr(flags, "device", ""));
     if (devices.empty())
@@ -590,14 +555,10 @@ cmdSearch(const std::map<std::string, std::string> &flags)
     std::string item;
     while (std::getline(ss, item, ','))
         cfg.devices.push_back(item);
-    cfg.seed = static_cast<std::uint64_t>(
-        std::stoull(flagOr(flags, "seed", "1")));
-    cfg.population = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "population", "32")));
-    cfg.generations = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "generations", "8")));
-    cfg.elite = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "elite", "4")));
+    cfg.seed = flagNum<std::uint64_t>(flags, "seed", "1");
+    cfg.population = flagNum<std::size_t>(flags, "population", "32");
+    cfg.generations = flagNum<std::size_t>(flags, "generations", "8");
+    cfg.elite = flagNum<std::size_t>(flags, "elite", "4");
 
     search::ArchitectureSearch engine(service, cfg);
     const search::SearchResult result = engine.run();
@@ -629,31 +590,22 @@ int
 cmdFleet(const std::map<std::string, std::string> &flags)
 {
     fleet::FleetLoopConfig cfg;
-    cfg.fleet.fleet_size = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "fleet-size", "10000")));
-    cfg.fleet.seed = static_cast<std::uint64_t>(
-        std::stoull(flagOr(flags, "fleet-seed", "9000")));
-    cfg.rounds = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "rounds", "6")));
-    cfg.devices_per_round = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "cohort", "24")));
-    cfg.fault_rate = std::stod(flagOr(flags, "faults", "0.1"));
-    cfg.num_random_networks = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "networks", "8")));
-    cfg.campaign.runs_per_network = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "runs", "5")));
-    cfg.retrain.cadence_rounds = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "cadence", "2")));
-    cfg.retrain.gbt.n_estimators = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "estimators", "60")));
-    cfg.canary.holdout_fraction =
-        std::stod(flagOr(flags, "holdout", "0.2"));
+    cfg.fleet.fleet_size = flagNum<std::size_t>(flags, "fleet-size", "10000");
+    cfg.fleet.seed = flagNum<std::uint64_t>(flags, "fleet-seed", "9000");
+    cfg.rounds = flagNum<std::size_t>(flags, "rounds", "6");
+    cfg.devices_per_round = flagNum<std::size_t>(flags, "cohort", "24");
+    cfg.fault_rate = flagNum<double>(flags, "faults", "0.1");
+    cfg.num_random_networks = flagNum<std::size_t>(flags, "networks", "8");
+    cfg.campaign.runs_per_network = flagNum<std::size_t>(flags, "runs", "5");
+    cfg.retrain.cadence_rounds = flagNum<std::size_t>(flags, "cadence", "2");
+    cfg.retrain.gbt.n_estimators =
+        flagNum<std::size_t>(flags, "estimators", "60");
+    cfg.canary.holdout_fraction = flagNum<double>(flags, "holdout", "0.2");
     cfg.canary.max_r2_regression =
-        std::stod(flagOr(flags, "max-regression", "0.01"));
-    cfg.traffic.requests_per_round = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "requests", "64")));
-    cfg.traffic.workers = static_cast<std::size_t>(
-        std::stoul(flagOr(flags, "workers", "2")));
+        flagNum<double>(flags, "max-regression", "0.01");
+    cfg.traffic.requests_per_round =
+        flagNum<std::size_t>(flags, "requests", "64");
+    cfg.traffic.workers = flagNum<std::size_t>(flags, "workers", "2");
     // Injected-regression drill: corrupt these retrain ordinals so
     // the canary gate's rollback path can be demonstrated on demand.
     const std::string sabotage = flagOr(flags, "sabotage", "");
@@ -662,7 +614,7 @@ cmdFleet(const std::map<std::string, std::string> &flags)
         std::string item;
         while (std::getline(ss, item, ','))
             cfg.sabotage_retrains.push_back(
-                static_cast<std::size_t>(std::stoul(item)));
+                parseNum<std::size_t>("sabotage", item));
     }
 
     std::string report;
@@ -735,35 +687,24 @@ usage()
         "                fault-rate sweep: campaign recovery counters\n"
         "                and clean-holdout R^2 per rate\n"
         "  profile  [--network NAME] [--device NAME]\n"
-        "  serve    --model FILE                  gcm-serve/v1 loop:\n"
-        "           one JSON request per line on stdin, one JSON\n"
-        "           response per line on stdout (see DESIGN.md §10)\n"
-        "           [--in FILE] [--out FILE]      file mode\n"
-        "           [--batch N] [--queue N]       micro-batch size and\n"
-        "                admission-queue capacity (default 32/256)\n"
-        "           [--cache N] [--shards N]      prediction cache\n"
-        "                capacity and shard count (default 4096/8)\n"
-        "           [--workers N] [--degrade ladder|shed]\n"
-        "                multi-worker front end with the graceful-\n"
-        "                degradation ladder (DESIGN.md §14); per-\n"
-        "                priority bounded queues, responses tagged\n"
-        "                with the producing tier\n"
-        "           [--soft N] [--hard N]  ladder watermarks\n"
-        "           [--arrival-qps X]      simulated arrival pacing\n"
-        "  loadgen  --model FILE                  seeded closed-loop\n"
-        "           load generator over the serve loop\n"
-        "           [--requests N] [--burst N] [--qps X] [--seed N]\n"
-        "           [--mix duplicate|unique] [--pool N]\n"
-        "           [--batch N] [--queue N] [--cache N] [--shards N]\n"
-        "           [--out FILE]  write the response stream (byte-\n"
-        "                identical across runs and thread counts)\n"
-        "           [--arrivals open] [--offered-qps X]\n"
-        "                open-loop Poisson overload mode against the\n"
-        "                multi-worker front end (default offered load\n"
-        "                2x capacity); reports goodput, shed-rate and\n"
-        "                per-tier fractions on the simulated clock\n"
-        "           [--bulk-fraction X] [--workers N]\n"
-        "           [--degrade ladder|shed] [--soft N] [--hard N]\n"
+        "  serve    --model FILE   gcm-serve/v1: one JSON request per\n"
+        "           line on stdin, one JSON response per line on stdout,\n"
+        "           in order, from the multi-worker front end; never\n"
+        "           degraded or shed (DESIGN.md §10)\n"
+        "           [--in FILE] [--out FILE] [--workers N] [--batch N]\n"
+        "           [--queue N] [--soft N] [--hard N]  per-priority queue\n"
+        "                capacity and ladder watermarks (256/64/160)\n"
+        "           [--degrade ladder|shed] [--cache N] [--shards N]\n"
+        "           [--arrival-qps X]  open loop at X req/s on the\n"
+        "                simulated clock: the ladder may degrade or shed\n"
+        "  loadgen  --model FILE   seeded load over the front end\n"
+        "           [--requests N] [--seed N] [--mix duplicate|unique]\n"
+        "           [--pool N] [--bulk-fraction X] [--out FILE]\n"
+        "           [--burst N] [--qps X]  closed loop: N outstanding,\n"
+        "                nominal arrivals at X req/s (default unpaced)\n"
+        "           [--arrivals open] [--offered-qps X]  open-loop\n"
+        "                Poisson arrivals (default 2x capacity)\n"
+        "           plus the serve front-end and cache flags\n"
         "  search   --model FILE --budget-ms X    latency-constrained\n"
         "           --device NAME | --devices a,b,...  architecture\n"
         "                search over the generator space; emits the\n"
@@ -812,7 +753,7 @@ main(int argc, char **argv)
         const auto flags = parseFlags(argc, argv, 2);
         const std::string threads = flagOr(flags, "threads", "");
         if (!threads.empty())
-            setThreads(static_cast<std::size_t>(std::stoul(threads)));
+            setThreads(parseNum<std::size_t>("threads", threads));
         const std::string trace_out = flagOr(flags, "trace-out", "");
         if (!trace_out.empty())
             obs::setEnabled(true);
