@@ -6,12 +6,14 @@
  */
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -664,6 +666,17 @@ class TrajectoryReporter : public benchmark::ConsoleReporter
         os << "  \"suite\": \"bench_micro_perf\",\n";
         os << "  \"git_rev\": \"" << escape(gitRev()) << "\",\n";
         os << "  \"threads\": " << numThreads() << ",\n";
+        // Host block: a number is only comparable to one taken on a
+        // machine with the same cores, pool override and build. The
+        // build type and compiler come from bench/CMakeLists.txt.
+        const char *env_threads = std::getenv("GCM_THREADS");
+        os << "  \"nproc\": " << cpuCount() << ",\n";
+        os << "  \"GCM_THREADS\": \""
+           << escape(env_threads ? env_threads : "") << "\",\n";
+        os << "  \"build_type\": \"" << escape(GCM_BENCH_BUILD_TYPE)
+           << "\",\n";
+        os << "  \"compiler\": \"" << escape(GCM_BENCH_COMPILER)
+           << "\",\n";
         os << "  \"benchmarks\": [";
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             os << (i == 0 ? "\n" : ",\n");
@@ -690,6 +703,16 @@ class TrajectoryReporter : public benchmark::ConsoleReporter
                 out.push_back(c);
         }
         return out;
+    }
+
+    /** CPUs this process may run on (what `nproc` prints). */
+    static unsigned
+    cpuCount()
+    {
+        cpu_set_t set{};
+        if (sched_getaffinity(0, sizeof(set), &set) == 0)
+            return static_cast<unsigned>(CPU_COUNT(&set));
+        return std::thread::hardware_concurrency();
     }
 
     static std::string

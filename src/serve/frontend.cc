@@ -375,7 +375,11 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
     // function, so bytes match at any worker count.
     // ------------------------------------------------------------------
     std::vector<std::exception_ptr> failures(workers_);
+    // Every worker's spans (serve.batch and below) nest under
+    // serve.frontend.execute, on the caller's thread or a fresh one.
+    void *execute_parent = nullptr;
     const auto work = [&](std::size_t w) noexcept {
+        const obs::SpanParentScope obs_scope(execute_parent);
         try {
             PredictionService &svc = *services_[w];
             AnalyticalEstimator &est = *estimators_[w];
@@ -433,6 +437,7 @@ ServerFrontEnd::run(const std::vector<Arrival> &arrivals,
     };
     {
         const obs::TraceSpan execute_span("serve.frontend.execute");
+        execute_parent = obs::currentSpanHandle();
         std::vector<std::thread> threads;
         threads.reserve(workers_ > 0 ? workers_ - 1 : 0);
         for (std::size_t w = 1; w < workers_; ++w)

@@ -52,6 +52,13 @@ covarianceMatrix(const std::vector<std::vector<double>> &variables,
  */
 double choleskyLogDet(const SymmetricMatrix &a);
 
+/**
+ * Inverse of a symmetric positive-definite matrix via Cholesky
+ * (A = L L^T, A^-1 = L^-T L^-1); the result is exactly symmetric.
+ * Throws GcmError if A is not positive definite.
+ */
+SymmetricMatrix choleskyInverse(const SymmetricMatrix &a);
+
 } // namespace gcm::stats
 
 #endif // GCM_STATS_LINALG_HH

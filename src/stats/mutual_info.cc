@@ -72,7 +72,7 @@ histogramMutualInformation(const std::vector<double> &x,
 
 GaussianMiEstimator::GaussianMiEstimator(
     const std::vector<std::vector<double>> &variables, double ridge)
-    : cov_(covarianceMatrix(variables, /*ridge=*/0.0))
+    : cov_(covarianceMatrix(variables, /*ridge=*/0.0)), prec_(0)
 {
     GCM_ASSERT(ridge > 0.0, "GaussianMiEstimator: ridge must be > 0");
     // Scale the ridge by the average variance so the regularization is
@@ -84,6 +84,7 @@ GaussianMiEstimator::GaussianMiEstimator(
     const double eps = std::max(ridge * avg_var, 1e-12);
     for (std::size_t i = 0; i < cov_.size(); ++i)
         cov_.at(i, i) += eps;
+    prec_ = choleskyInverse(cov_);
 }
 
 double
@@ -97,6 +98,19 @@ GaussianMiEstimator::setMi(const std::vector<std::size_t> &s,
     const double ld_r = choleskyLogDet(cov_.submatrix(r));
     const double ld_j = choleskyLogDet(cov_.submatrix(joint));
     return std::max(0.5 * (ld_s + ld_r - ld_j), 0.0);
+}
+
+double
+GaussianMiEstimator::complementMi(const std::vector<std::size_t> &s) const
+{
+    GCM_ASSERT(!s.empty(), "complementMi: empty index set");
+    GCM_ASSERT(s.size() <= cov_.size(), "complementMi: too many indices");
+    // The complement is empty: nothing is left to inform.
+    if (s.size() == cov_.size())
+        return 0.0;
+    const double ld_s = choleskyLogDet(cov_.submatrix(s));
+    const double ld_p = choleskyLogDet(prec_.submatrix(s));
+    return std::max(0.5 * (ld_s + ld_p), 0.0);
 }
 
 } // namespace gcm::stats

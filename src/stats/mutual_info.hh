@@ -11,9 +11,15 @@
  *
  *  - Gaussian estimator: models variables (log-latencies) as jointly
  *    Gaussian, where I(S; R) = 1/2 (logdet Sigma_SS + logdet Sigma_RR
- *    - logdet Sigma). This gives a proper set-valued objective; the
- *    paper's submodularity citation (Krause et al.) is exactly this
- *    Gaussian sensor-placement setting.
+ *    - logdet Sigma_JJ), J = S u R. This gives a proper set-valued
+ *    objective; the paper's submodularity citation (Krause et al.) is
+ *    exactly this Gaussian sensor-placement setting. MIS only asks
+ *    for I(S; V\S), and with the precision matrix P = Sigma^-1 the
+ *    Schur complement gives logdet Sigma_RR = logdet Sigma
+ *    + logdet P_SS for R = V\S, so I(S; V\S) = 1/2 (logdet Sigma_SS
+ *    + logdet P_SS): two |S| x |S| factorizations per query instead
+ *    of three of up to n x n (complementMi). The general setMi stays
+ *    as the reference the fast form is tested against.
  */
 
 #ifndef GCM_STATS_MUTUAL_INFO_HH
@@ -81,8 +87,19 @@ class GaussianMiEstimator
     double setMi(const std::vector<std::size_t> &s,
                  const std::vector<std::size_t> &r) const;
 
+    /**
+     * Estimate I(S; V\S) in nats, V being every variable, from the
+     * precision matrix computed once at construction. Equal to
+     * setMi(s, V\S) up to rounding; I(V; {}) is 0.
+     *
+     * @param s Distinct variable indices (non-empty).
+     */
+    double complementMi(const std::vector<std::size_t> &s) const;
+
   private:
     SymmetricMatrix cov_;
+    /** cov_^-1 (ridged), for complementMi. */
+    SymmetricMatrix prec_;
 };
 
 } // namespace gcm::stats

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "stats/linalg.hh"
 #include "util/error.hh"
+#include "util/rng.hh"
 
 using namespace gcm::stats;
 using gcm::GcmError;
@@ -88,4 +90,49 @@ TEST(Linalg, Submatrix)
     EXPECT_DOUBLE_EQ(sub.at(0, 1), 2.0);
     EXPECT_DOUBLE_EQ(sub.at(1, 0), 6.0);
     EXPECT_DOUBLE_EQ(sub.at(1, 1), 8.0);
+}
+
+TEST(Linalg, CholeskyInverseTimesMatrixIsIdentity)
+{
+    // A ridged sample covariance with more variables than samples,
+    // the shape MIS inverts.
+    gcm::Rng rng(29);
+    std::vector<std::vector<double>> vars(12);
+    for (auto &v : vars) {
+        for (int i = 0; i < 8; ++i)
+            v.push_back(rng.normal());
+    }
+    const auto a = covarianceMatrix(vars, 0.05);
+    const auto p = choleskyInverse(a);
+    ASSERT_EQ(p.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        for (std::size_t j = 0; j < a.size(); ++j) {
+            double s = 0.0;
+            for (std::size_t k = 0; k < a.size(); ++k)
+                s += a.at(i, k) * p.at(k, j);
+            EXPECT_NEAR(s, i == j ? 1.0 : 0.0, 1e-9);
+            EXPECT_EQ(p.at(i, j), p.at(j, i));
+        }
+    }
+}
+
+TEST(Linalg, CholeskyInverseOfDiagonal)
+{
+    SymmetricMatrix m(2);
+    m.at(0, 0) = 4.0;
+    m.at(1, 1) = 0.5;
+    const auto p = choleskyInverse(m);
+    EXPECT_DOUBLE_EQ(p.at(0, 0), 0.25);
+    EXPECT_DOUBLE_EQ(p.at(1, 1), 2.0);
+    EXPECT_EQ(p.at(0, 1), 0.0);
+}
+
+TEST(Linalg, CholeskyInverseNonPositiveDefiniteThrows)
+{
+    SymmetricMatrix m(2);
+    m.at(0, 0) = 1.0;
+    m.at(0, 1) = 2.0;
+    m.at(1, 0) = 2.0;
+    m.at(1, 1) = 1.0; // eigenvalues 3, -1
+    EXPECT_THROW(choleskyInverse(m), GcmError);
 }

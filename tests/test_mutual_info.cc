@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "stats/mutual_info.hh"
@@ -135,4 +136,32 @@ TEST(GaussianMi, NonNegative)
     }
     const GaussianMiEstimator est(vars);
     EXPECT_GE(est.setMi({0, 1}, {2, 3, 4}), 0.0);
+}
+
+TEST(GaussianMi, ComplementMiMatchesSetMiOverTheRest)
+{
+    // More variables than samples, as in MIS on a device split.
+    Rng rng(23);
+    std::vector<std::vector<double>> vars(15);
+    for (auto &v : vars) {
+        for (int i = 0; i < 9; ++i)
+            v.push_back(rng.normal());
+    }
+    const GaussianMiEstimator est(vars, 1e-2);
+    const std::vector<std::vector<std::size_t>> sets = {
+        {0}, {14, 3}, {2, 7, 11, 5}, {1, 2, 3, 4, 5, 6, 7, 8}};
+    for (const auto &s : sets) {
+        std::vector<std::size_t> rest;
+        for (std::size_t i = 0; i < vars.size(); ++i) {
+            if (std::find(s.begin(), s.end(), i) == s.end())
+                rest.push_back(i);
+        }
+        const double ref = est.setMi(s, rest);
+        EXPECT_NEAR(est.complementMi(s), ref, 1e-9 * std::max(1.0, ref));
+    }
+    // Nothing is left to inform once every variable is in the set.
+    std::vector<std::size_t> all(vars.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        all[i] = i;
+    EXPECT_EQ(est.complementMi(all), 0.0);
 }

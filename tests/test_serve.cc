@@ -31,6 +31,7 @@
 #include "serve/protocol.hh"
 #include "serve/registry.hh"
 #include "serve/service.hh"
+#include "support_json.hh"
 #include "testing_support.hh"
 #include "util/error.hh"
 #include "util/parallel.hh"
@@ -918,6 +919,58 @@ TEST(FrontEnd, RunIsReproducible)
     EXPECT_EQ(s1, s2);
     EXPECT_EQ(r1, r2);
     EXPECT_FALSE(r1.empty());
+}
+
+namespace
+{
+
+/** Total `count` of spans named `name` anywhere below `spans`. */
+double
+spanCount(const gcmtest::JsonValue &spans, const std::string &name)
+{
+    double total = 0.0;
+    for (const auto &s : spans.array) {
+        if (s.at("name").str == name)
+            total += s.at("count").number;
+        total += spanCount(s.at("children"), name);
+    }
+    return total;
+}
+
+} // namespace
+
+TEST(FrontEnd, WorkerSpansNestUnderExecute)
+{
+    // Workers 1..3 run on fresh threads; their serve.batch spans must
+    // still land under serve.frontend.execute, never at the root.
+    obs::reset();
+    obs::setEnabled(true);
+    serve::FrontEndConfig cfg;
+    cfg.workers = 4;
+    serve::ServerFrontEnd fe(twoVersionRegistry(), testDeviceTable(),
+                             cfg);
+    (void)fe.run(overloadArrivals(fe, 600, 29, 0.8), nullptr);
+    const auto report = gcmtest::parseJson(obs::reportJson());
+    obs::setEnabled(false);
+    obs::reset();
+
+    const auto &spans = report.at("spans");
+    for (const auto &s : spans.array)
+        EXPECT_NE(s.at("name").str, "serve.batch");
+    const gcmtest::JsonValue *execute = nullptr;
+    for (const auto &s : spans.array) {
+        if (s.at("name").str != "serve.frontend.run")
+            continue;
+        for (const auto &c : s.at("children").array) {
+            if (c.at("name").str == "serve.frontend.execute")
+                execute = &c;
+        }
+    }
+    ASSERT_NE(execute, nullptr);
+    const double under_execute =
+        spanCount(execute->at("children"), "serve.batch");
+    EXPECT_GT(under_execute, 3.0); // more batches than one worker's
+    EXPECT_EQ(under_execute, spanCount(spans, "serve.batch"));
 }
 
 TEST(FrontEnd, PerTierPayloadsAreWorkerCountInvariant)
